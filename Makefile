@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint lint-json test race smoke sched-gate perf-gate validate-baselines baseline clean
+.PHONY: ci build fmt vet lint lint-json test hostbench-test race smoke sched-gate perf-gate validate-baselines baseline clean
 
-ci: fmt vet lint build test race smoke sched-gate perf-gate validate-baselines
+ci: fmt vet lint build test hostbench-test race smoke sched-gate perf-gate validate-baselines
 
 # Experiments the perf gate runs: cheap, deterministic, and together they
 # exercise the journal, allocator, file tables and mapped-access paths.
@@ -38,6 +38,12 @@ lint-json:
 
 test:
 	$(GO) test ./...
+
+# The host-cost benchmark is a nested module outside ./..., so `test`
+# does not build it; its short tests catch drift in the simulator API it
+# drives.
+hostbench-test:
+	cd hostbench && $(GO) test -short .
 
 race:
 	$(GO) test -race ./...

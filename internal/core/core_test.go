@@ -449,7 +449,8 @@ func TestPrezeroPipelineAndSecurity(t *testing.T) {
 		}
 		// Security: the old payload must be gone from media.
 		for _, e := range exts {
-			raw := ev.dev.Bytes(mem.PhysAddr(e.Phys*mem.PageSize), e.Len*mem.PageSize)
+			raw := make([]byte, e.Len*mem.PageSize)
+			ev.dev.Peek(mem.PhysAddr(e.Phys*mem.PageSize), raw)
 			for _, b := range raw {
 				if b == 0xAA {
 					t.Error("stale secret bytes survived pre-zeroing")

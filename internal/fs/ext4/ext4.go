@@ -225,7 +225,7 @@ func (f *FS) dropBlocks(t *sim.Thread, di *inode) {
 }
 
 // freeRuns routes freed blocks through the OnFree hook (pre-zero daemon)
-// or straight back to the allocator.
+// or straight back to the allocator, discarding their host backing.
 func (f *FS) freeRuns(t *sim.Thread, runs []alloc.Run) {
 	if f.hooks != nil && f.hooks.OnFree != nil {
 		ext := make([]vfs.Extent, len(runs))
@@ -235,6 +235,9 @@ func (f *FS) freeRuns(t *sim.Thread, runs []alloc.Run) {
 		if f.hooks.OnFree(t, ext) {
 			return // daemon owns them now
 		}
+	}
+	for _, r := range runs {
+		f.dev.Discard(mem.PhysAddr(r.Start*mem.PageSize), r.Len*mem.PageSize)
 	}
 	f.alloc.Free(t, runs)
 }

@@ -367,9 +367,18 @@ func (f *FS) Truncate(t *sim.Thread, in *vfs.Inode, size uint64) error {
 				return nil
 			}
 		}
-		f.alloc.Free(t, freed)
+		f.freeBlocks(t, freed)
 	}
 	return nil
+}
+
+// freeBlocks discards freed blocks' host backing and returns them to the
+// allocator.
+func (f *FS) freeBlocks(t *sim.Thread, runs []alloc.Run) {
+	for _, r := range runs {
+		f.dev.Discard(mem.PhysAddr(r.Start*mem.PageSize), r.Len*mem.PageSize)
+	}
+	f.alloc.Free(t, runs)
 }
 
 // ReleaseZeroed returns daemon-zeroed blocks marked zeroed.
@@ -451,7 +460,7 @@ func (f *FS) PutInode(t *sim.Thread, in *vfs.Inode) {
 					return
 				}
 			}
-			f.alloc.Free(t, runs)
+			f.freeBlocks(t, runs)
 		}
 		delete(f.inodes, di.ino)
 	}

@@ -291,8 +291,8 @@ func (k *Kernel) Setup(fn func(t *sim.Thread)) {
 }
 
 // attachEngine routes an auxiliary engine's charges into the hub's cycle
-// account, registers its totals for reconciliation and speed telemetry,
-// and rides the timeline sampler daemon on it.
+// account and span collector, and rides the timeline sampler daemon on
+// it.
 func (k *Kernel) attachEngine(e *sim.Engine) {
 	k.engines = append(k.engines, e)
 	if k.Obs != nil && k.Obs.Cycles != nil {
@@ -300,8 +300,6 @@ func (k *Kernel) attachEngine(e *sim.Engine) {
 		// Bulk form for the sharded scheduler's workers; the sequential
 		// scheduler ignores it and calls the plain sink per charge.
 		e.SetChargeBulkSink(k.Obs.Cycles.ChargeN)
-		k.Obs.AddEngineTotal(e.TotalCharged)
-		k.Obs.AddEngineEvents(e.Events)
 	}
 	if sp := k.Cfg.Spans; sp != nil {
 		e.SetChargeObserver(sp.Observe)
@@ -312,10 +310,16 @@ func (k *Kernel) attachEngine(e *sim.Engine) {
 	}
 }
 
-// runEngine runs an engine bracketed by a timeline flush so the tail
+// runEngine runs an engine registered with the hub for reconciliation and
+// speed telemetry, then folds its totals into the hub and lets the span
+// collector forget its finished threads, so shared observers keep no
+// reference to the kernel. A timeline flush brackets the run so the tail
 // interval (and the run's span mark) lands before the next run starts.
 func (k *Kernel) runEngine(label string, e *sim.Engine) uint64 {
+	fold := k.Obs.AddEngine(e.TotalCharged, e.Events)
 	end := e.Run()
+	fold()
+	k.Cfg.Spans.ForgetIdle()
 	if tl := k.Cfg.Timeline; tl != nil {
 		tl.FlushRun(label, end)
 	}

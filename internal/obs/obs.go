@@ -28,8 +28,16 @@ type Obs struct {
 	Cycles *CycleAccount
 
 	mu           sync.Mutex
-	engineTotals []func() uint64
-	engineEvents []func() uint64
+	live         []*engineReader // engines registered for a run in progress
+	foldedTotal  uint64          // cycles of engine runs that have ended
+	foldedEvents uint64          // events of engine runs that have ended
+}
+
+// engineReader reads one running engine's totals relative to their values
+// at registration.
+type engineReader struct {
+	total, events   func() uint64
+	total0, events0 uint64
 }
 
 // New creates an observability hub with a trace ring of traceCap events
@@ -41,55 +49,64 @@ func New(traceCap int) *Obs {
 	return &Obs{Reg: NewRegistry(), Trace: NewTracer(traceCap), Cycles: NewCycleAccount()}
 }
 
-// AddEngineTotal registers a reader for one engine's total charged cycles.
-// Every engine whose charges feed Cycles must register here (the kernel
-// does this when wiring), so EnginesTotal is the reconciliation target for
-// CycleAccount.Total. Kept as func values to stay dependency-free.
-func (o *Obs) AddEngineTotal(fn func() uint64) {
+// AddEngine registers one engine's running totals for the duration of a
+// run: total reads its charged cycles and events its event count (see
+// sim.Engine.TotalCharged and Events). Every engine whose charges feed
+// Cycles must be registered while it runs (the kernel does this around
+// each run), so EnginesTotal is the reconciliation target for
+// CycleAccount.Total. The returned fold, called when the run ends, adds
+// the engine's growth since registration to plain counters and drops the
+// readers, so the hub does not keep finished engines (and the kernels
+// behind them) reachable. Kept as func values to stay dependency-free.
+func (o *Obs) AddEngine(total, events func() uint64) (fold func()) {
 	if o == nil {
-		return
+		return func() {}
 	}
+	r := &engineReader{total: total, events: events, total0: total(), events0: events()}
 	o.mu.Lock()
-	o.engineTotals = append(o.engineTotals, fn)
+	o.live = append(o.live, r)
 	o.mu.Unlock()
+	return func() {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		o.foldedTotal += r.total() - r.total0
+		o.foldedEvents += r.events() - r.events0
+		for i, l := range o.live {
+			if l == r {
+				o.live = append(o.live[:i], o.live[i+1:]...)
+				break
+			}
+		}
+	}
 }
 
-// EnginesTotal sums the total charged cycles of every registered engine.
+// EnginesTotal sums the cycles charged by every registered engine, running
+// or folded.
 func (o *Obs) EnginesTotal() uint64 {
 	if o == nil {
 		return 0
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var s uint64
-	for _, fn := range o.engineTotals {
-		s += fn()
+	s := o.foldedTotal
+	for _, r := range o.live {
+		s += r.total() - r.total0
 	}
 	return s
 }
 
-// AddEngineEvents registers a reader for one engine's event count (see
-// sim.Engine.Events). The sum across engines is the deterministic
-// numerator of the host-side events/sec speed metric.
-func (o *Obs) AddEngineEvents(fn func() uint64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.engineEvents = append(o.engineEvents, fn)
-	o.mu.Unlock()
-}
-
-// EnginesEvents sums the event counts of every registered engine.
+// EnginesEvents sums the event counts of every registered engine, running
+// or folded: the deterministic numerator of the host-side events/sec
+// speed metric.
 func (o *Obs) EnginesEvents() uint64 {
 	if o == nil {
 		return 0
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var s uint64
-	for _, fn := range o.engineEvents {
-		s += fn()
+	s := o.foldedEvents
+	for _, r := range o.live {
+		s += r.events() - r.events0
 	}
 	return s
 }

@@ -480,6 +480,25 @@ func (c *Collector) StartSegment(id string) {
 	c.cur = &segment{id: id, classes: map[string]*classStats{}}
 }
 
+// ForgetIdle drops the span state of every thread with no open span. The
+// kernel calls it when an engine run ends, so the collector, which
+// outlives the kernels sharing it, keeps no finished thread (and through
+// it the engine and kernel) reachable. A forgotten thread that runs again
+// simply starts a fresh, empty stack.
+func (c *Collector) ForgetIdle() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for t, ts := range c.threads {
+		if len(ts.stack) == 0 {
+			delete(c.threads, t)
+		}
+	}
+	c.lastT, c.lastS = nil, nil
+}
+
 // BookedCycles reports charges booked as span self-time.
 func (c *Collector) BookedCycles() uint64 {
 	if c == nil {

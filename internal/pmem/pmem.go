@@ -6,6 +6,18 @@
 // depends on: regular (cached) stores are not durable until flushed with
 // clwb+fence, while non-temporal stores become durable at the next fence.
 //
+// Host backing is demand-paged, so host memory scales with the bytes a run
+// touches rather than the configured capacity. The device keeps a
+// directory of 4 KiB host pages, one slot per simulated page frame; an
+// empty slot reads as zeros. The first write to a page materializes it,
+// preferring a page from the device's spare list (cleared unless the
+// write covers the whole page). Zero clears partially covered pages and
+// moves wholly covered ones to the spare list; Discard does the same
+// without charges or statistics, and the file systems call it when freed
+// blocks go back to their allocator. None of this is visible in virtual
+// time: every charge, statistic and persistence rule is the same as for
+// a flat byte array.
+//
 // The physical address space is striped across per-NUMA-node banks (one
 // DIMM set per socket). Each bank has its own bandwidth token bucket, so
 // heavy background writers (DaxVM's pre-zeroing daemon) interfere with
@@ -19,6 +31,7 @@ package pmem
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"daxvm/internal/cost"
 	"daxvm/internal/mem"
@@ -29,8 +42,9 @@ import (
 // Device is one simulated PMem module set, possibly spanning several
 // NUMA nodes.
 type Device struct {
-	size uint64
-	data []byte
+	size  uint64
+	pages []*page // host backing by page frame number; nil reads as zeros
+	spare []*page // pages released by Zero/Discard, stale until reused
 
 	// Persistence tracking (enabled for crash tests): the set of dirty
 	// cache lines written with cached stores and not yet flushed, and the
@@ -48,8 +62,24 @@ type Device struct {
 	Stats Stats
 }
 
+// page is the host backing of one simulated page frame.
+type page = [mem.PageSize]byte
+
+// framesAllocated counts host pages allocated by every device in the
+// process (see FramesAllocated).
+var framesAllocated atomic.Uint64
+
+// FramesAllocated reports how many 4 KiB host pages devices have
+// allocated in this process so far. A device reuses its spare pages
+// before allocating, so over one run the count grows by the sum of each
+// device's peak resident pages. Host telemetry for memory-bound tests:
+// it is not simulated state and is not published to the metrics
+// registry.
+func FramesAllocated() uint64 { return framesAllocated.Load() }
+
 // bank is the per-node slice of the device: its own channel occupancy
-// and traffic counters. The data itself lives in the shared slice.
+// and traffic counters. The data itself lives in the shared page
+// directory.
 type bank struct {
 	bw    tokenBucket
 	stats Stats
@@ -80,9 +110,10 @@ type Config struct {
 	Topo *topo.Topology
 }
 
-// New creates a device. Backing memory is allocated lazily by the host OS
-// (untouched pages cost nothing), so multi-GiB devices are cheap until
-// written.
+// New creates a device. Only the page directory (one pointer per 4 KiB
+// frame) is allocated up front; backing pages are allocated on first
+// write and recycled through the spare list (see the package doc), so a
+// multi-GiB device costs host memory in proportion to what is written.
 func New(cfg Config) *Device {
 	if cfg.Size == 0 || !mem.IsAligned(cfg.Size, mem.PageSize) {
 		panic(fmt.Sprintf("pmem: bad device size %d", cfg.Size))
@@ -93,7 +124,7 @@ func New(cfg Config) *Device {
 	}
 	d := &Device{
 		size:             cfg.Size,
-		data:             make([]byte, cfg.Size),
+		pages:            make([]*page, cfg.Size/mem.PageSize),
 		trackPersistence: cfg.TrackPersistence,
 		tp:               cfg.Topo,
 		bankSize:         mem.AlignedUp(cfg.Size/uint64(nodes), mem.PageSize),
@@ -141,12 +172,111 @@ func (d *Device) NodeStats(node int) *Stats { return &d.banks[node].stats }
 
 func (d *Device) multi() bool { return len(d.banks) > 1 }
 
-// Bytes returns the raw backing slice for [addr, addr+n). The caller is
-// responsible for charging access costs; use the typed accessors where
-// possible.
+// Bytes returns the raw backing slice for [addr, addr+n), which must lie
+// within one page; a range crossing a page boundary panics (use Peek to
+// copy longer ranges out). Writes through the slice land on the device,
+// so the page is materialized if absent. The caller is responsible for
+// charging access costs; use the typed accessors where possible.
 func (d *Device) Bytes(addr mem.PhysAddr, n uint64) []byte {
 	d.check(addr, n)
-	return d.data[addr : uint64(addr)+n]
+	off := uint64(addr) % mem.PageSize
+	if off+n > mem.PageSize {
+		panic(fmt.Sprintf("pmem: Bytes range [%#x,+%d) crosses a page boundary", addr, n))
+	}
+	p := d.pageFor(uint64(addr)/mem.PageSize, false)
+	return p[off : off+n : off+n]
+}
+
+// Peek copies device content at addr into buf without charging cycles or
+// counting traffic: host-side inspection (verifying workload results),
+// not a simulated access.
+func (d *Device) Peek(addr mem.PhysAddr, buf []byte) {
+	d.check(addr, uint64(len(buf)))
+	d.load(addr, buf)
+}
+
+// Discard releases [addr, addr+n) the way Zero does, without charging
+// cycles or counting traffic: afterwards the range reads as zeros. The
+// file systems call it when freed blocks return to their allocator, so
+// host memory tracks live data. Persistence tracking is untouched.
+func (d *Device) Discard(addr mem.PhysAddr, n uint64) {
+	d.check(addr, n)
+	d.release(addr, n)
+}
+
+// pageFor returns the backing page of frame pfn, materializing it if
+// absent: a spare page is reused first and cleared unless whole reports
+// that the caller overwrites the entire page.
+func (d *Device) pageFor(pfn uint64, whole bool) *page {
+	if p := d.pages[pfn]; p != nil {
+		return p
+	}
+	var p *page
+	if n := len(d.spare); n > 0 {
+		p = d.spare[n-1]
+		d.spare[n-1] = nil
+		d.spare = d.spare[:n-1]
+		if !whole {
+			clear(p[:])
+		}
+	} else {
+		//lint:ignore hotalloc first touch of a device page: bounded by the device's peak resident pages, later touches reuse spares
+		p = new(page)
+		framesAllocated.Add(1)
+	}
+	d.pages[pfn] = p
+	return p
+}
+
+// store copies buf onto the device at addr, materializing pages.
+func (d *Device) store(addr mem.PhysAddr, buf []byte) {
+	a := uint64(addr)
+	for len(buf) > 0 {
+		off := a % mem.PageSize
+		n := min(mem.PageSize-off, uint64(len(buf)))
+		p := d.pageFor(a/mem.PageSize, n == mem.PageSize)
+		copy(p[off:], buf[:n])
+		buf = buf[n:]
+		a += n
+	}
+}
+
+// load copies device content at addr into buf; absent pages read as
+// zeros.
+func (d *Device) load(addr mem.PhysAddr, buf []byte) {
+	a := uint64(addr)
+	for len(buf) > 0 {
+		off := a % mem.PageSize
+		n := min(mem.PageSize-off, uint64(len(buf)))
+		if p := d.pages[a/mem.PageSize]; p != nil {
+			copy(buf[:n], p[off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		a += n
+	}
+}
+
+// release makes [addr, addr+n) read as zeros: wholly covered pages move
+// to the spare list, partially covered present pages are cleared, and
+// absent pages are left alone.
+func (d *Device) release(addr mem.PhysAddr, n uint64) {
+	a, end := uint64(addr), uint64(addr)+n
+	for a < end {
+		off := a % mem.PageSize
+		m := min(mem.PageSize-off, end-a)
+		pfn := a / mem.PageSize
+		if p := d.pages[pfn]; p != nil {
+			if m == mem.PageSize {
+				d.pages[pfn] = nil
+				d.spare = append(d.spare, p)
+			} else {
+				clear(p[off : off+m])
+			}
+		}
+		a += m
+	}
 }
 
 func (d *Device) check(addr mem.PhysAddr, n uint64) {
@@ -178,7 +308,7 @@ func (d *Device) remoteExtra(t *sim.Thread, node mem.NodeID, ratePerPage, n uint
 func (d *Device) Read(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
-	copy(buf, d.data[addr:uint64(addr)+n])
+	d.load(addr, buf)
 	node := d.NodeOf(addr)
 	d.Stats.BytesRead += n
 	d.banks[node].stats.BytesRead += n
@@ -204,7 +334,7 @@ func (d *Device) Read(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 func (d *Device) WriteNT(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
-	copy(d.data[addr:uint64(addr)+n], buf)
+	d.store(addr, buf)
 	d.writeNTCommon(t, addr, n)
 }
 
@@ -254,7 +384,7 @@ func (d *Device) writeNTCommon(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
-	copy(d.data[addr:uint64(addr)+n], buf)
+	d.store(addr, buf)
 	node := d.NodeOf(addr)
 	d.Stats.BytesWritten += n
 	d.Stats.CachedStores++
@@ -281,7 +411,7 @@ func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 // freshly allocated blocks, and DaxVM's pre-zero daemon).
 func (d *Device) Zero(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 	d.check(addr, n)
-	clear(d.data[addr : uint64(addr)+n])
+	d.release(addr, n)
 	node := d.NodeOf(addr)
 	d.Stats.BytesZeroed += n
 	d.Stats.BytesWritten += n
@@ -367,30 +497,27 @@ func (d *Device) Crash() {
 		panic("pmem: Crash requires TrackPersistence")
 	}
 	for l := range d.dirtyLines {
-		off := l * mem.CacheLineSize
-		end := off + mem.CacheLineSize
-		if end > d.size {
-			end = d.size
-		}
-		for i := off; i < end; i++ {
-			d.data[i] = 0xCC
-		}
+		d.corruptLine(l)
 	}
 	// Lines flushed-but-not-fenced may or may not survive; the paper's
 	// recovery protocols must not depend on them, so corrupt them too
 	// (the adversarial choice).
 	for l := range d.flushedLines {
-		off := l * mem.CacheLineSize
-		end := off + mem.CacheLineSize
-		if end > d.size {
-			end = d.size
-		}
-		for i := off; i < end; i++ {
-			d.data[i] = 0xCC
-		}
+		d.corruptLine(l)
 	}
 	d.dirtyLines = make(map[uint64]struct{})
 	d.flushedLines = make(map[uint64]struct{})
+}
+
+// corruptLine fills one cache line with crash garbage (a line never
+// crosses a page, and the device size is page-aligned).
+func (d *Device) corruptLine(l uint64) {
+	off := l * mem.CacheLineSize
+	p := d.pageFor(off/mem.PageSize, false)
+	line := p[off%mem.PageSize:][:mem.CacheLineSize]
+	for i := range line {
+		line[i] = 0xCC
+	}
 }
 
 // DirtyLineCount reports unflushed cached-store lines (crash tests).

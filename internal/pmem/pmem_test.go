@@ -59,7 +59,8 @@ func TestZeroClears(t *testing.T) {
 	run(func(th *sim.Thread) {
 		d.WriteNT(th, 0, bytes.Repeat([]byte{0xAB}, 8192))
 		d.Zero(th, 0, 8192)
-		got := d.Bytes(0, 8192)
+		got := make([]byte, 8192)
+		d.Peek(0, got)
 		for i, b := range got {
 			if b != 0 {
 				t.Fatalf("byte %d not zeroed: %#x", i, b)

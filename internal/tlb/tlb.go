@@ -31,12 +31,16 @@ type Entry struct {
 type TLB struct {
 	small map[mem.VirtAddr]*Entry
 	large map[mem.VirtAddr]*Entry
-	// FIFO rings for eviction.
-	orderSmall []mem.VirtAddr
-	orderLarge []mem.VirtAddr
+	// FIFO insertion order for eviction.
+	orderSmall fifo
+	orderLarge fifo
 	capSmall   int
 	capLarge   int
 	gen        uint64
+	// free holds entries dropped by invalidation for reuse, so
+	// invalidate/insert churn does not allocate. Bounded by the
+	// capacities: entries are allocated only while it is empty.
+	free []*Entry
 
 	Stats Stats
 }
@@ -79,7 +83,8 @@ func (t *TLB) Lookup(va mem.VirtAddr) (*Entry, bool) {
 
 // Insert caches a translation. Steady state allocates nothing: an entry
 // already mapped at the key (live or generation-stale) is overwritten in
-// place, and otherwise the slot evicted to make room is reused.
+// place, and otherwise the slot evicted to make room or an invalidated
+// entry is reused.
 func (t *TLB) Insert(va mem.VirtAddr, pte pt.Entry, writable, huge bool) {
 	t.Stats.Insertions++
 	if huge {
@@ -90,11 +95,9 @@ func (t *TLB) Insert(va mem.VirtAddr, pte pt.Entry, writable, huge bool) {
 		}
 		e := t.evictIfFull(&t.orderLarge, t.large, t.capLarge)
 		if e == nil {
-			//lint:ignore hotalloc warm-up only: a full TLB reuses the evicted entry in place
-			e = &Entry{}
+			e = t.newEntry()
 		}
-		//lint:ignore hotalloc FIFO ring: bounded by the FlushAll reset, amortized O(1)
-		t.orderLarge = append(t.orderLarge, key)
+		t.orderLarge.push(key)
 		*e = Entry{VA: key, PTE: pte, Writable: writable, Huge: true, gen: t.gen}
 		t.large[key] = e
 		return
@@ -106,22 +109,40 @@ func (t *TLB) Insert(va mem.VirtAddr, pte pt.Entry, writable, huge bool) {
 	}
 	e := t.evictIfFull(&t.orderSmall, t.small, t.capSmall)
 	if e == nil {
-		//lint:ignore hotalloc warm-up only: a full TLB reuses the evicted entry in place
-		e = &Entry{}
+		e = t.newEntry()
 	}
-	//lint:ignore hotalloc FIFO ring: bounded by the FlushAll reset, amortized O(1)
-	t.orderSmall = append(t.orderSmall, key)
+	t.orderSmall.push(key)
 	*e = Entry{VA: key, PTE: pte, Writable: writable, gen: t.gen}
 	t.small[key] = e
 }
 
+// newEntry takes an invalidated entry off the free list, allocating only
+// while the TLB warms up.
+func (t *TLB) newEntry() *Entry {
+	if n := len(t.free); n > 0 {
+		e := t.free[n-1]
+		t.free = t.free[:n-1]
+		return e
+	}
+	//lint:ignore hotalloc warm-up only: full or invalidated TLBs reuse entries
+	return &Entry{}
+}
+
+// drop removes key from m, keeping its entry for reuse.
+func (t *TLB) drop(m map[mem.VirtAddr]*Entry, key mem.VirtAddr) {
+	if e, ok := m[key]; ok {
+		delete(m, key)
+		//lint:ignore hotalloc free list: bounded by the TLB's capacity
+		t.free = append(t.free, e)
+	}
+}
+
 // evictIfFull frees map slots until one is available, returning the last
 // evicted entry so the caller can reuse its storage.
-func (t *TLB) evictIfFull(order *[]mem.VirtAddr, m map[mem.VirtAddr]*Entry, capacity int) *Entry {
+func (t *TLB) evictIfFull(order *fifo, m map[mem.VirtAddr]*Entry, capacity int) *Entry {
 	var reuse *Entry
-	for len(m) >= capacity && len(*order) > 0 {
-		victim := (*order)[0]
-		*order = (*order)[1:]
+	for len(m) >= capacity && order.len() > 0 {
+		victim := order.pop()
 		if e, ok := m[victim]; ok {
 			delete(m, victim) // stale entries just free the slot
 			reuse = e
@@ -130,21 +151,55 @@ func (t *TLB) evictIfFull(order *[]mem.VirtAddr, m map[mem.VirtAddr]*Entry, capa
 	return reuse
 }
 
+// fifo is a queue of keys in insertion order. Popped slots at the front
+// are reclaimed by compaction instead of sliding the slice through fresh
+// allocations, so a queue of steady length stops allocating.
+type fifo struct {
+	keys []mem.VirtAddr
+	head int // index of the oldest key
+}
+
+func (f *fifo) len() int { return len(f.keys) - f.head }
+
+func (f *fifo) pop() mem.VirtAddr {
+	k := f.keys[f.head]
+	f.head++
+	return k
+}
+
+func (f *fifo) push(k mem.VirtAddr) {
+	// Compact once at least half the backing array is popped slots: a
+	// compaction copies no more keys than it reclaims, so pushes stay
+	// amortized O(1).
+	if len(f.keys) == cap(f.keys) && f.head >= len(f.keys)/2 && f.head > 0 {
+		n := copy(f.keys, f.keys[f.head:])
+		f.keys = f.keys[:n]
+		f.head = 0
+	}
+	//lint:ignore hotalloc FIFO growth: bounded by the FlushAll reset; steady length reuses the backing array
+	f.keys = append(f.keys, k)
+}
+
+func (f *fifo) reset() {
+	f.keys = f.keys[:0]
+	f.head = 0
+}
+
 // InvalidatePage drops the translation covering va (invlpg semantics:
 // both page sizes checked).
 func (t *TLB) InvalidatePage(va mem.VirtAddr) {
 	t.Stats.PageInval++
-	delete(t.small, va.PageDown())
-	delete(t.large, va.HugeDown())
+	t.drop(t.small, va.PageDown())
+	t.drop(t.large, va.HugeDown())
 }
 
 // InvalidateRange drops all translations overlapping [start, end).
 func (t *TLB) InvalidateRange(start, end mem.VirtAddr) {
 	for va := start.PageDown(); va < end; va += mem.PageSize {
-		delete(t.small, va)
+		t.drop(t.small, va)
 	}
 	for va := start.HugeDown(); va < end; va += mem.HugeSize {
-		delete(t.large, va)
+		t.drop(t.large, va)
 	}
 }
 
@@ -154,13 +209,13 @@ func (t *TLB) FlushAll() {
 	t.gen++
 	// Maps are lazily cleaned by generation checks; reset the rings when
 	// they grow stale to bound memory.
-	if len(t.orderSmall) > 4*t.capSmall {
+	if t.orderSmall.len() > 4*t.capSmall {
 		clear(t.small)
-		t.orderSmall = t.orderSmall[:0]
+		t.orderSmall.reset()
 	}
-	if len(t.orderLarge) > 4*t.capLarge {
+	if t.orderLarge.len() > 4*t.capLarge {
 		clear(t.large)
-		t.orderLarge = t.orderLarge[:0]
+		t.orderLarge.reset()
 	}
 }
 

@@ -101,3 +101,33 @@ func TestFlushAllIsO1AndComplete(t *testing.T) {
 		t.Fatal("insert after flush lost")
 	}
 }
+
+// TestInvalidatedEntriesReused pins steady-state reuse: once warm, a
+// cycle of range invalidation and refills past capacity (so FIFO
+// eviction runs too) allocates neither entries nor queue space.
+func TestInvalidatedEntriesReused(t *testing.T) {
+	tb := NewSized(16, 2)
+	end := mem.VirtAddr(64) * mem.PageSize
+	cycle := func() {
+		tb.InvalidateRange(0, end)
+		for va := mem.VirtAddr(0); va < end; va += mem.PageSize {
+			tb.Insert(va, pt.MakeEntry(mem.PFN(va/mem.PageSize), mem.PermRead, true, false), false, false)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("invalidate/refill cycle allocated %v times, want 0", allocs)
+	}
+	if got := tb.Len(); got != 16 {
+		t.Fatalf("TLB holds %d entries after refill, want 16", got)
+	}
+	// FIFO order is unchanged: the newest pages survive.
+	if _, ok := tb.Lookup(end - mem.PageSize); !ok {
+		t.Fatal("most recent entry evicted")
+	}
+	if _, ok := tb.Lookup(end - 17*mem.PageSize); ok {
+		t.Fatal("entry older than the capacity survived")
+	}
+}

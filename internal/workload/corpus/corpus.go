@@ -132,12 +132,16 @@ func sourceFileSize(rng *rand.Rand) uint64 {
 	}
 }
 
-// payload builds deterministic printable content.
+// payloadSrc is the line payload repeats.
+const payloadSrc = "int daxvm_attach(struct vm_area_struct *vma, pgd_t *pgd);\n"
+
+// payload builds deterministic printable content: payloadSrc repeated,
+// filled by doubling copies (O(log size) of them).
 func payload(size uint64) []byte {
 	b := make([]byte, size)
-	const src = "int daxvm_attach(struct vm_area_struct *vma, pgd_t *pgd);\n"
-	for i := range b {
-		b[i] = src[i%len(src)]
+	n := copy(b, payloadSrc)
+	for n < len(b) {
+		n += copy(b[n:], b[:n])
 	}
 	return b
 }

@@ -58,6 +58,7 @@ func Run(k *kernel.Kernel, cfg Config) Result {
 		w := w
 		proc.Spawn("ag", w, 0, func(t *sim.Thread, c *cpu.Core) {
 			env := &wl.Env{Proc: proc, LATR: l}
+			scan := make([]byte, scanWindow)
 			// Static partitioning of the file list.
 			for i := w; i < len(tree.Paths); i += cfg.Threads {
 				path := tree.Paths[i]
@@ -89,7 +90,7 @@ func Run(k *kernel.Kernel, cfg Config) Result {
 				if err := proc.AccessMapped(t, c, va, size, kernel.KindSum); err != nil {
 					panic(err)
 				}
-				if fileContains(proc, t, fd, needle, size) {
+				if fileContains(proc, t, fd, needle, size, scan) {
 					matches[w]++
 				}
 				switch {
@@ -125,10 +126,13 @@ func Run(k *kernel.Kernel, cfg Config) Result {
 }
 
 // fileContains checks media content directly (the mapped data IS the
-// file), so matches verify the whole pipeline.
-func fileContains(p *kernel.Proc, t *sim.Thread, fd int, needle []byte, size uint64) bool {
+// file), so matches verify the whole pipeline. Each extent is copied out
+// through buf in windows that overlap by len(needle)-1 bytes, so a match
+// straddling two windows is still found; buf must be longer than needle.
+func fileContains(p *kernel.Proc, t *sim.Thread, fd int, needle []byte, size uint64, buf []byte) bool {
 	in := p.Inode(fd)
 	dev := p.K.Dev
+	overlap := uint64(len(needle) - 1)
 	for _, e := range p.K.FS.Extents(in) {
 		n := e.Len * mem.PageSize
 		if off := e.File * mem.PageSize; off+n > size {
@@ -137,12 +141,23 @@ func fileContains(p *kernel.Proc, t *sim.Thread, fd int, needle []byte, size uin
 			}
 			n = size - off
 		}
-		if bytes.Contains(dev.Bytes(mem.PhysAddr(e.Phys*mem.PageSize), n), needle) {
-			return true
+		addr := mem.PhysAddr(e.Phys * mem.PageSize)
+		for done := uint64(0); ; done -= overlap {
+			w := min(uint64(len(buf)), n-done)
+			dev.Peek(addr+mem.PhysAddr(done), buf[:w])
+			if bytes.Contains(buf[:w], needle) {
+				return true
+			}
+			if done += w; done >= n {
+				break
+			}
 		}
 	}
 	return false
 }
+
+// scanWindow sizes each worker's fileContains copy-out buffer.
+const scanWindow = 64 << 10
 
 // perFileFixedWork: pattern-compile amortization, result bookkeeping.
 const perFileFixedWork = 2_000
