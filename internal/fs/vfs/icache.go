@@ -25,12 +25,14 @@ type ICacheStats struct {
 	Evictions uint64
 }
 
-// NewICache creates a cache over fs holding at most capacity inodes.
+// NewICache creates a cache over fs holding at most capacity inodes. The
+// map grows with the cached set: capacity bounds eviction, not the
+// up-front allocation.
 func NewICache(fs FS, capacity int, hooks *Hooks) *ICache {
 	return &ICache{
 		fs:       fs,
 		capacity: capacity,
-		inodes:   make(map[Ino]*Inode, capacity),
+		inodes:   make(map[Ino]*Inode),
 		hooks:    hooks,
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,11 +25,20 @@ type CycleAccount struct {
 	// guarded by mu
 	leaves map[string]*cycleLeaf
 	total  uint64 // guarded by mu
+	// Per-root totals in first-seen slot order: a root is a path's first
+	// component ("app" for "app.syscall.write"), resolved once when its
+	// first leaf is created, so every charge adds to its root with one
+	// slice add and ReadRoots copies a flat slice.
+	// guarded by mu
+	rootNames []string
+	// guarded by mu
+	roots []uint64
 }
 
 type cycleLeaf struct {
 	cycles uint64
 	count  uint64
+	root   int // slot in CycleAccount.roots
 	byCore map[int]uint64
 }
 
@@ -44,16 +54,7 @@ func (a *CycleAccount) Charge(core int, path string, cycles uint64) {
 		return
 	}
 	a.mu.Lock()
-	l := a.leaves[path]
-	if l == nil {
-		//lint:ignore hotalloc first charge to a unique path only; steady state hits the map
-		l = &cycleLeaf{byCore: make(map[int]uint64)}
-		a.leaves[path] = l
-	}
-	l.cycles += cycles
-	l.count++
-	l.byCore[core] += cycles
-	a.total += cycles
+	a.bookLocked(core, path, cycles, 1)
 	a.mu.Unlock()
 }
 
@@ -67,17 +68,48 @@ func (a *CycleAccount) ChargeN(core int, path string, cycles, count uint64) {
 		return
 	}
 	a.mu.Lock()
+	a.bookLocked(core, path, cycles, count)
+	a.mu.Unlock()
+}
+
+// bookLocked adds one (possibly aggregated) charge to path's leaf, its
+// root and the total. Caller holds mu.
+func (a *CycleAccount) bookLocked(core int, path string, cycles, count uint64) {
 	l := a.leaves[path]
 	if l == nil {
-		//lint:ignore hotalloc first charge to a unique path only; steady state hits the map
-		l = &cycleLeaf{byCore: make(map[int]uint64)}
-		a.leaves[path] = l
+		l = a.newLeafLocked(path)
 	}
 	l.cycles += cycles
 	l.count += count
 	l.byCore[core] += cycles
+	a.roots[l.root] += cycles
 	a.total += cycles
-	a.mu.Unlock()
+}
+
+// newLeafLocked creates path's leaf, resolving (or creating) its root
+// slot. Caller holds mu.
+func (a *CycleAccount) newLeafLocked(path string) *cycleLeaf {
+	root := AttrRoot(path)
+	slot := slices.Index(a.rootNames, root) // a run has a handful of roots
+	if slot < 0 {
+		slot = len(a.roots)
+		//lint:ignore hotalloc first charge under a new root only; a run has a handful of roots
+		a.rootNames = append(a.rootNames, root)
+		//lint:ignore hotalloc first charge under a new root only; a run has a handful of roots
+		a.roots = append(a.roots, 0)
+	}
+	//lint:ignore hotalloc first charge to a unique path only; steady state hits the map
+	l := &cycleLeaf{root: slot, byCore: make(map[int]uint64)}
+	a.leaves[path] = l
+	return l
+}
+
+// AttrRoot returns the top-level component of a dotted attribution path.
+func AttrRoot(path string) string {
+	if i := strings.IndexByte(path, '.'); i >= 0 {
+		return path[:i]
+	}
+	return path
 }
 
 // Total reports all cycles booked so far.
@@ -88,6 +120,27 @@ func (a *CycleAccount) Total() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.total
+}
+
+// ReadRoots returns the booked total and copies the per-root totals into
+// dst (reusing its capacity), one value per root slot in first-seen
+// order. A nil account reads zero and no roots.
+func (a *CycleAccount) ReadRoots(dst []uint64) (total uint64, roots []uint64) {
+	if a == nil {
+		return 0, dst[:0]
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	dst = resize(dst, len(a.roots))
+	copy(dst, a.roots)
+	return a.total, dst
+}
+
+// RootName returns the attribution root in slot i.
+func (a *CycleAccount) RootName(i int) string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.rootNames[i]
 }
 
 // Snapshot copies the account state.

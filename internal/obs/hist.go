@@ -44,19 +44,74 @@ func (h *Histogram) Count() uint64 {
 
 // Snapshot copies the histogram state.
 func (h *Histogram) Snapshot() HistSnapshot {
+	var c HistCounts
+	h.ReadInto(&c)
+	return c.Snapshot()
+}
+
+// HistCounts is a dense histogram reading: every bucket in a fixed
+// array, so periodic readers (the timeline sampler) fill and diff it in
+// place without building maps.
+type HistCounts struct {
+	Buckets    [histBuckets]uint64
+	Sum, Count uint64
+}
+
+// ReadInto fills c with the histogram state. A nil histogram reads as
+// empty.
+func (h *Histogram) ReadInto(c *HistCounts) {
 	if h == nil {
-		return HistSnapshot{}
+		*c = HistCounts{}
+		return
 	}
-	s := HistSnapshot{Sum: atomic.LoadUint64(&h.sum), Count: atomic.LoadUint64(&h.n)}
+	c.Sum = atomic.LoadUint64(&h.sum)
+	c.Count = atomic.LoadUint64(&h.n)
 	for b := range h.counts {
-		if c := atomic.LoadUint64(&h.counts[b]); c != 0 {
+		c.Buckets[b] = atomic.LoadUint64(&h.counts[b])
+	}
+}
+
+// Snapshot converts c to the sparse HistSnapshot form (zero buckets
+// omitted), the form Quantile and the exports read.
+func (c *HistCounts) Snapshot() HistSnapshot {
+	s := HistSnapshot{Sum: c.Sum, Count: c.Count}
+	for b, v := range c.Buckets {
+		if v != 0 {
 			if s.Buckets == nil {
 				s.Buckets = make(map[int]uint64)
 			}
-			s.Buckets[b] = c
+			s.Buckets[b] = v
 		}
 	}
 	return s
+}
+
+// AddDelta adds cur minus prev into c field-wise, each difference
+// clamped at zero like HistSnapshot.Delta.
+func (c *HistCounts) AddDelta(cur, prev *HistCounts) {
+	c.Sum += SubClamp(cur.Sum, prev.Sum)
+	c.Count += SubClamp(cur.Count, prev.Count)
+	for b := range c.Buckets {
+		c.Buckets[b] += SubClamp(cur.Buckets[b], prev.Buckets[b])
+	}
+}
+
+// Add sums o into c field-wise.
+func (c *HistCounts) Add(o *HistCounts) {
+	c.Sum += o.Sum
+	c.Count += o.Count
+	for b := range c.Buckets {
+		c.Buckets[b] += o.Buckets[b]
+	}
+}
+
+// SubClamp returns a-b, or 0 when b >= a: the window delta of a
+// monotonic reading (a gauge-style reading that shrank clamps to zero).
+func SubClamp(a, b uint64) uint64 {
+	if a > b {
+		return a - b
+	}
+	return 0
 }
 
 // HistSnapshot is a point-in-time histogram reading. Buckets maps the
@@ -130,13 +185,7 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 
 // Delta subtracts prev bucket-wise (the measured window's distribution).
 func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
-	d := HistSnapshot{}
-	if s.Sum > prev.Sum {
-		d.Sum = s.Sum - prev.Sum
-	}
-	if s.Count > prev.Count {
-		d.Count = s.Count - prev.Count
-	}
+	d := HistSnapshot{Sum: SubClamp(s.Sum, prev.Sum), Count: SubClamp(s.Count, prev.Count)}
 	for b, c := range s.Buckets {
 		p := prev.Buckets[b]
 		if c > p {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"sync"
 )
 
@@ -12,19 +13,33 @@ import (
 // for sub-components ("mm.lock.wait_cycles", "ext4.journal.commits").
 // Re-registering a name replaces the reader — when several machines share
 // one registry (an experiment sweep), the latest boot wins.
+//
+// Counters and histograms live in registration-order slots; the name maps
+// are consulted only when registering. A re-registered name keeps its
+// slot, so a periodic reader (ReadCounters, ReadHists) can diff two
+// readings slot by slot: a slot past the end of the older reading was
+// registered in between.
 type Registry struct {
 	mu sync.Mutex
 	// guarded by mu
-	counters map[string]func() uint64
+	counterSlot map[string]int
 	// guarded by mu
-	hists map[string]*Histogram
+	counterNames []string
+	// guarded by mu
+	counters []func() uint64
+	// guarded by mu
+	histSlot map[string]int
+	// guarded by mu
+	histNames []string
+	// guarded by mu
+	hists []*Histogram
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]func() uint64),
-		hists:    make(map[string]*Histogram),
+		counterSlot: make(map[string]int),
+		histSlot:    make(map[string]int),
 	}
 }
 
@@ -36,8 +51,14 @@ func (r *Registry) Counter(name string, fn func() uint64) {
 		return
 	}
 	r.mu.Lock()
-	r.counters[name] = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if i, ok := r.counterSlot[name]; ok {
+		r.counters[i] = fn
+		return
+	}
+	r.counterSlot[name] = len(r.counters)
+	r.counterNames = append(r.counterNames, name)
+	r.counters = append(r.counters, fn)
 }
 
 // Histogram registers (or returns the existing) named log2 histogram.
@@ -47,11 +68,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
+	if i, ok := r.histSlot[name]; ok {
+		return r.hists[i]
 	}
 	h := &Histogram{}
-	r.hists[name] = h
+	r.histSlot[name] = len(r.hists)
+	r.histNames = append(r.histNames, name)
+	r.hists = append(r.hists, h)
 	return h
 }
 
@@ -59,7 +82,78 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return SortedKeys(r.counters)
+	names := append([]string(nil), r.counterNames...)
+	sort.Strings(names)
+	return names
+}
+
+// CounterSlot returns the slot of the named counter, or -1 when it is not
+// registered.
+func (r *Registry) CounterSlot(name string) int {
+	if r == nil {
+		return -1
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i, ok := r.counterSlot[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// CounterName returns the name registered in counter slot i.
+func (r *Registry) CounterName(i int) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counterNames[i]
+}
+
+// HistName returns the name registered in histogram slot i.
+func (r *Registry) HistName(i int) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.histNames[i]
+}
+
+// ReadCounters reads every counter into dst (reusing its capacity), one
+// value per slot in registration order. A nil registry reads none.
+func (r *Registry) ReadCounters(dst []uint64) []uint64 {
+	if r == nil {
+		return dst[:0]
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	dst = resize(dst, len(r.counters))
+	for i, fn := range r.counters {
+		dst[i] = fn()
+	}
+	return dst
+}
+
+// ReadHists reads every histogram into dst (reusing its capacity), one
+// reading per slot in registration order. A nil registry reads none.
+func (r *Registry) ReadHists(dst []HistCounts) []HistCounts {
+	if r == nil {
+		return dst[:0]
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	dst = resize(dst, len(r.hists))
+	for i, h := range r.hists {
+		h.ReadInto(&dst[i])
+	}
+	return dst
+}
+
+// resize returns s with length n, reallocating only when n exceeds its
+// capacity. Elements carried over keep their values; callers overwrite
+// them.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	//lint:ignore hotalloc grows only when the registry gained slots since the caller's last reading; steady-state readings reuse dst
+	return make([]T, n)
 }
 
 // Snapshot reads every registered counter and histogram. Call it at
@@ -75,11 +169,11 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters: make(map[string]uint64, len(r.counters)),
 		Hists:    make(map[string]HistSnapshot, len(r.hists)),
 	}
-	for name, fn := range r.counters {
-		s.Counters[name] = fn()
+	for i, fn := range r.counters {
+		s.Counters[r.counterNames[i]] = fn()
 	}
-	for name, h := range r.hists {
-		s.Hists[name] = h.Snapshot()
+	for i, h := range r.hists {
+		s.Hists[r.histNames[i]] = h.Snapshot()
 	}
 	return s
 }
@@ -102,12 +196,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		Hists:    make(map[string]HistSnapshot, len(s.Hists)),
 	}
 	for name, v := range s.Counters {
-		p := prev.Counters[name]
-		if v > p {
-			d.Counters[name] = v - p
-		} else {
-			d.Counters[name] = 0
-		}
+		d.Counters[name] = SubClamp(v, prev.Counters[name])
 	}
 	for name, h := range s.Hists {
 		d.Hists[name] = h.Delta(prev.Hists[name])

@@ -70,58 +70,57 @@ func (tl *Timeline) Export() []Export {
 	defer tl.mu.Unlock()
 	out := append([]Export(nil), tl.done...)
 	if s := tl.cur; s != nil && (len(s.intervals) > 0 || len(s.runs) > 0) {
-		out = append(out, exportSegment(s))
+		out = append(out, tl.exportSegment(s))
 	}
 	return out
 }
 
-// exportSegment converts in-progress state to artifact form.
-func exportSegment(s *segment) Export {
+// exportSegment converts in-progress state to artifact form, resolving
+// slots to names and pruning zero counters, empty histograms, idle roots
+// and all-zero gauges.
+func (tl *Timeline) exportSegment(s *segment) Export {
 	ex := Export{
 		Segment:        s.id,
 		IntervalCycles: s.period,
 		Intervals:      make([]Interval, 0, len(s.intervals)),
 		Runs:           append([]RunMark(nil), s.runs...),
 	}
-	for _, iv := range s.intervals {
-		out := Interval{Start: iv.start, End: iv.end, Cycles: iv.cyc.Total}
-		for name, v := range iv.reg.Counters {
-			if v == 0 {
-				continue
+	for i := range s.intervals {
+		iv := &s.intervals[i]
+		out := Interval{Start: iv.start, End: iv.end, Cycles: iv.cycles, GaugeSamples: iv.gaugeSamples}
+		for slot, v := range iv.counters {
+			if v != 0 {
+				out.Counters = put(out.Counters, tl.reg.CounterName(slot), v)
 			}
-			if out.Counters == nil {
-				out.Counters = make(map[string]uint64)
-			}
-			out.Counters[name] = v
 		}
-		for name, h := range iv.reg.Hists {
-			if h.Count == 0 {
-				continue
+		for slot := range iv.hists {
+			if iv.hists[slot].Count != 0 {
+				h := iv.hists[slot].Snapshot()
+				out.Hists = put(out.Hists, tl.reg.HistName(slot), HistPoint{Count: h.Count, P50: h.Quantile(0.50), P99: h.Quantile(0.99)})
 			}
-			if out.Hists == nil {
-				out.Hists = make(map[string]HistPoint)
-			}
-			out.Hists[name] = HistPoint{Count: h.Count, P50: h.Quantile(0.50), P99: h.Quantile(0.99)}
 		}
-		for path, l := range iv.cyc.Leaves {
-			if out.Attr == nil {
-				out.Attr = make(map[string]uint64)
+		for slot, v := range iv.roots {
+			if v != 0 {
+				out.Attr = put(out.Attr, tl.cyc.RootName(slot), v)
 			}
-			out.Attr[attrRoot(path)] += l.Cycles
 		}
-		out.GaugeSamples = iv.gaugeSamples
-		for name, g := range iv.gauges {
-			if g.sum == 0 && g.max == 0 {
-				continue
+		for slot, g := range iv.gauges {
+			if g.sum != 0 || g.max != 0 {
+				out.Gauges = put(out.Gauges, tl.gauges[slot].name, GaugePoint{Sum: g.sum, Max: g.max})
 			}
-			if out.Gauges == nil {
-				out.Gauges = make(map[string]GaugePoint)
-			}
-			out.Gauges[name] = GaugePoint{Sum: g.sum, Max: g.max}
 		}
 		ex.Intervals = append(ex.Intervals, out)
 	}
 	return ex
+}
+
+// put sets m[k] = v, making m on first use so empty series stay nil.
+func put[V any](m map[string]V, k string, v V) map[string]V {
+	if m == nil {
+		m = make(map[string]V)
+	}
+	m[k] = v
+	return m
 }
 
 // WriteCSV writes the exports in tidy (long) form —

@@ -1,9 +1,9 @@
 // Package timeline is the virtual-time interval sampler: a daemon thread
 // (sim.Engine.GoSampler) wakes every period cycles and records the window
 // delta of every registered counter, each latency histogram, and the
-// cycle-attribution profile since the previous sample. Sampling reads
-// snapshots only — it charges zero cycles and mutates no simulated state —
-// so a run with a timeline attached produces bit-identical metrics to one
+// per-root cycle attribution since the previous sample. Sampling only
+// reads — it charges zero cycles and mutates no simulated state — so a
+// run with a timeline attached produces bit-identical metrics to one
 // without.
 //
 // Time axis. Each engine run has a local clock starting at zero; an
@@ -22,7 +22,6 @@ package timeline
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
 	"daxvm/internal/obs"
@@ -56,16 +55,28 @@ type Config struct {
 
 // Timeline accumulates interval samples, one segment per experiment.
 // All methods are nil-safe.
+//
+// A sampler wake reads the registry's counter and histogram slots and the
+// cycle account's per-root totals into flat slices and diffs them slot by
+// slot against the segment's previous reading; intervals store dense
+// per-slot deltas, and names are resolved only on export. Steady-state
+// wakes allocate nothing: the reading buffers swap, and intervals freed
+// by coalescing are reused.
 type Timeline struct {
 	reg *obs.Registry
 	cyc *obs.CycleAccount
 	cfg Config
 
-	mu        sync.Mutex
-	done      []Export // finished segments, in StartSegment order
-	cur       *segment
-	gauges    []gaugeEntry // sorted by name
-	gaugeVals []uint64     // per-sample scratch, len(gauges); avoids per-sample allocation
+	mu         sync.Mutex
+	done       []Export // finished segments, in StartSegment order
+	cur        *segment
+	gauges     []gaugeEntry // registration (slot) order
+	gaugeOrder []int        // gauge slots in name order
+	gaugeVals  []uint64     // per-wake scratch, by gauge slot
+	scratch    reading      // per-wake scratch; swaps with the segment's previous reading
+	trackSlots []int        // registry slot per cfg.TrackCounters entry, -1 while unregistered
+	trackSeen  int          // registry counter count trackSlots was resolved against
+	spare      []interval   // intervals released by coalescing or a finished segment, slices kept for reuse
 }
 
 // gaugeEntry is one registered saturation gauge. The Perfetto track name
@@ -76,6 +87,14 @@ type gaugeEntry struct {
 	fn    func(now uint64) uint64
 }
 
+// reading is one read of every sampled source, indexed by slot.
+type reading struct {
+	counters []uint64         // by registry counter slot
+	hists    []obs.HistCounts // by registry histogram slot
+	total    uint64           // cycle account total
+	roots    []uint64         // by attribution root slot
+}
+
 // segment is one experiment's in-progress timeline.
 type segment struct {
 	id           string
@@ -84,24 +103,32 @@ type segment struct {
 	lastBoundary uint64 // absolute time of the last sample
 	intervals    []interval
 	runs         []RunMark
-	prevReg      obs.Snapshot
-	prevCyc      obs.CycleSnapshot
+	prev         reading
 }
 
 // interval holds one window's deltas (not absolute readings), plus the
 // instantaneous gauge readings taken at sampler wakes that landed inside
 // the window (sum and max across gaugeSamples wakes, so the mean
-// survives coalescing).
+// survives coalescing). Slices are indexed by slot and may be shorter
+// than the current slot count: a slot registered after the window closed
+// has no delta in it.
 type interval struct {
 	start, end   uint64
-	reg          obs.Snapshot
-	cyc          obs.CycleSnapshot
-	gauges       map[string]gaugeAcc
+	cycles       uint64
+	counters     []uint64
+	hists        []obs.HistCounts
+	roots        []uint64
+	gauges       []gaugeAcc // empty when no wake in the window sampled gauges
 	gaugeSamples uint64
 }
 
 // gaugeAcc accumulates one gauge's readings inside one interval.
 type gaugeAcc struct{ sum, max uint64 }
+
+func (g *gaugeAcc) merge(o gaugeAcc) {
+	g.sum += o.sum
+	g.max = max(g.max, o.max)
+}
 
 // New creates a timeline sampling reg and cyc. Zero-value Config fields
 // take the package defaults.
@@ -112,16 +139,17 @@ func New(reg *obs.Registry, cyc *obs.CycleAccount, cfg Config) *Timeline {
 	if cfg.MaxIntervals == 0 {
 		cfg.MaxIntervals = DefaultMaxIntervals
 	}
-	return &Timeline{reg: reg, cyc: cyc, cfg: cfg}
+	return &Timeline{reg: reg, cyc: cyc, cfg: cfg, trackSlots: make([]int, len(cfg.TrackCounters)), trackSeen: -1}
 }
 
 // Gauge registers a named saturation gauge: fn is read at every sampler
 // wake with the engine-local virtual time and must be a pure snapshot —
 // no cycle charges, no simulated-state mutation, no allocation (gauge
 // readers are simlint hotalloc roots). Registering an existing name
-// replaces its reader, mirroring Registry.Counter, so sequentially
-// booted kernels sharing one timeline always sample live state. Gauges
-// are sampled in name order for deterministic trace emission.
+// replaces its reader and keeps its slot, mirroring Registry.Counter, so
+// sequentially booted kernels sharing one timeline always sample live
+// state. Gauges are sampled in name order for deterministic trace
+// emission.
 func (tl *Timeline) Gauge(name string, fn func(now uint64) uint64) {
 	if tl == nil {
 		return
@@ -136,12 +164,15 @@ func (tl *Timeline) Gauge(name string, fn func(now uint64) uint64) {
 		}
 	}
 	tl.gauges = append(tl.gauges, e)
-	sort.Slice(tl.gauges, func(i, j int) bool { return tl.gauges[i].name < tl.gauges[j].name })
+	tl.gaugeOrder = append(tl.gaugeOrder, len(tl.gauges)-1)
+	sort.Slice(tl.gaugeOrder, func(i, j int) bool {
+		return tl.gauges[tl.gaugeOrder[i]].name < tl.gauges[tl.gaugeOrder[j]].name
+	})
 	tl.gaugeVals = make([]uint64, len(tl.gauges))
 }
 
 // StartSegment finishes the current segment (if it recorded anything) and
-// begins a new one labelled id, re-baselining the delta snapshots so the
+// begins a new one labelled id, re-baselining the previous reading so the
 // segment is identical whether the experiment runs alone or after others.
 func (tl *Timeline) StartSegment(id string) {
 	if tl == nil {
@@ -154,12 +185,10 @@ func (tl *Timeline) StartSegment(id string) {
 }
 
 func (tl *Timeline) newSegment(id string) *segment {
-	return &segment{
-		id:      id,
-		period:  tl.cfg.BaseInterval,
-		prevReg: tl.reg.Snapshot(),
-		prevCyc: tl.cyc.Snapshot(),
-	}
+	//lint:ignore hotalloc once per segment: a sampler wake opens one only when no segment was started
+	s := &segment{id: id, period: tl.cfg.BaseInterval}
+	tl.read(&s.prev)
+	return s
 }
 
 func (tl *Timeline) finishLocked() {
@@ -168,7 +197,10 @@ func (tl *Timeline) finishLocked() {
 	if s == nil || (len(s.intervals) == 0 && len(s.runs) == 0) {
 		return
 	}
-	tl.done = append(tl.done, exportSegment(s))
+	tl.done = append(tl.done, tl.exportSegment(s))
+	for _, iv := range s.intervals {
+		tl.recycle(iv)
+	}
 }
 
 // ensureLocked lazily opens an unnamed segment so a kernel booted without
@@ -233,210 +265,221 @@ func (tl *Timeline) FlushRun(label string, localEnd uint64) {
 	s.lastBoundary = abs
 }
 
+// read fills r with the current counter, histogram and root readings.
+func (tl *Timeline) read(r *reading) {
+	r.counters = tl.reg.ReadCounters(r.counters)
+	r.hists = tl.reg.ReadHists(r.hists)
+	r.total, r.roots = tl.cyc.ReadRoots(r.roots)
+}
+
 // recordLocked closes the interval [s.lastBoundary, abs): it diffs the
-// current snapshots against the previous sample, emits counter-track trace
-// events at the engine-local timestamp, and appends the interval. Empty
+// current reading against the previous one, emits counter-track trace
+// events at the engine-local timestamp, and records the window. Empty
 // windows advance the boundary without appending; a zero-width flush tail
 // (work booked at the exact sample time after the sampler ran) folds into
-// the previous interval so no cycles are lost. When sample is true (a
+// the previous interval so no cycles are lost. The previous reading
+// advances on every call, empty windows included. When sample is true (a
 // sampler wake, not a run flush) every registered gauge is read at the
 // engine-local instant; readings in empty windows are dropped with the
 // window, so per-interval means only average instants where work ran.
 func (tl *Timeline) recordLocked(s *segment, abs, local uint64, sample bool) {
-	curReg := tl.reg.Snapshot()
-	curCyc := tl.cyc.Snapshot()
-	dReg := curReg.Delta(s.prevReg)
-	dCyc := curCyc.Delta(s.prevCyc)
-	s.prevReg = curReg
-	s.prevCyc = curCyc
+	cur, prev := &tl.scratch, &s.prev
+	tl.read(cur)
 	sampledGauges := sample && len(tl.gauges) > 0
 	if sampledGauges {
-		for i := range tl.gauges {
-			tl.gaugeVals[i] = tl.gauges[i].fn(local)
+		for _, g := range tl.gaugeOrder {
+			tl.gaugeVals[g] = tl.gauges[g].fn(local)
 		}
 	}
-	tl.emitTracks(local, dCyc, dReg, sampledGauges)
-	if emptyDelta(dReg, dCyc) {
+	tl.emitTracks(local, cur, prev, sampledGauges)
+	switch {
+	case !active(cur, prev):
 		s.lastBoundary = abs
-		return
-	}
-	var g map[string]gaugeAcc
-	var gSamples uint64
-	if sampledGauges {
-		g = make(map[string]gaugeAcc, len(tl.gauges))
-		for i := range tl.gauges {
-			v := tl.gaugeVals[i]
-			g[tl.gauges[i].name] = gaugeAcc{sum: v, max: v}
+	case abs == s.lastBoundary && len(s.intervals) > 0:
+		tl.addWindow(&s.intervals[len(s.intervals)-1], cur, prev, sampledGauges)
+	default:
+		iv := tl.spareInterval()
+		iv.start, iv.end = s.lastBoundary, abs
+		tl.addWindow(&iv, cur, prev, sampledGauges)
+		//lint:ignore hotalloc grows to MaxIntervals+1 once per segment; coalescing shrinks it in place
+		s.intervals = append(s.intervals, iv)
+		s.lastBoundary = abs
+		if len(s.intervals) > tl.cfg.MaxIntervals {
+			tl.coalesce(s)
 		}
-		gSamples = 1
 	}
-	if abs == s.lastBoundary && len(s.intervals) > 0 {
-		last := &s.intervals[len(s.intervals)-1]
-		last.reg = mergeReg(last.reg, dReg)
-		last.cyc = mergeCyc(last.cyc, dCyc)
-		last.gauges = mergeGauges(last.gauges, g)
-		last.gaugeSamples += gSamples
-		return
+	s.prev, tl.scratch = tl.scratch, s.prev
+}
+
+// active reports whether the window from prev to cur saw any activity:
+// cycles, a counter increase or a histogram observation.
+func active(cur, prev *reading) bool {
+	if cur.total > prev.total {
+		return true
 	}
-	s.intervals = append(s.intervals, interval{
-		start: s.lastBoundary, end: abs, reg: dReg, cyc: dCyc,
-		gauges: g, gaugeSamples: gSamples,
+	for i, v := range cur.counters {
+		if v > at(prev.counters, i) {
+			return true
+		}
+	}
+	for i := range cur.hists {
+		if cur.hists[i].Count > histAt(prev.hists, i).Count {
+			return true
+		}
+	}
+	return false
+}
+
+// at returns s[i], or 0 for a slot registered after s was read.
+func at(s []uint64, i int) uint64 {
+	if i < len(s) {
+		return s[i]
+	}
+	return 0
+}
+
+var emptyHist obs.HistCounts
+
+// histAt is at for histogram readings.
+func histAt(s []obs.HistCounts, i int) *obs.HistCounts {
+	if i < len(s) {
+		return &s[i]
+	}
+	return &emptyHist
+}
+
+// addWindow adds the window delta from prev to cur into iv, plus this
+// wake's gauge readings when sampled.
+func (tl *Timeline) addWindow(iv *interval, cur, prev *reading, sampledGauges bool) {
+	iv.cycles += obs.SubClamp(cur.total, prev.total)
+	iv.counters = grow(iv.counters, len(cur.counters))
+	for i, v := range cur.counters {
+		iv.counters[i] += obs.SubClamp(v, at(prev.counters, i))
+	}
+	iv.hists = grow(iv.hists, len(cur.hists))
+	for i := range cur.hists {
+		iv.hists[i].AddDelta(&cur.hists[i], histAt(prev.hists, i))
+	}
+	iv.roots = grow(iv.roots, len(cur.roots))
+	for i, v := range cur.roots {
+		iv.roots[i] += obs.SubClamp(v, at(prev.roots, i))
+	}
+	if sampledGauges {
+		iv.gauges = grow(iv.gauges, len(tl.gaugeVals))
+		for i, v := range tl.gaugeVals {
+			iv.gauges[i].merge(gaugeAcc{sum: v, max: v})
+		}
+		iv.gaugeSamples++
+	}
+}
+
+// merge folds the following interval b into iv.
+func (iv *interval) merge(b *interval) {
+	iv.end = b.end
+	iv.cycles += b.cycles
+	iv.counters = grow(iv.counters, len(b.counters))
+	for i, v := range b.counters {
+		iv.counters[i] += v
+	}
+	iv.hists = grow(iv.hists, len(b.hists))
+	for i := range b.hists {
+		iv.hists[i].Add(&b.hists[i])
+	}
+	iv.roots = grow(iv.roots, len(b.roots))
+	for i, v := range b.roots {
+		iv.roots[i] += v
+	}
+	iv.gauges = grow(iv.gauges, len(b.gauges))
+	for i, g := range b.gauges {
+		iv.gauges[i].merge(g)
+	}
+	iv.gaugeSamples += b.gaugeSamples
+}
+
+// grow extends s to length n with zeroed new elements, reusing its
+// capacity; it never shrinks s.
+func grow[T any](s []T, n int) []T {
+	old := len(s)
+	if n <= old {
+		return s
+	}
+	if n > cap(s) {
+		//lint:ignore hotalloc a fresh or recycled interval meeting slots it has not held yet; bounded by MaxIntervals+1 intervals per timeline
+		ns := make([]T, n)
+		copy(ns, s)
+		return ns
+	}
+	s = s[:n]
+	clear(s[old:])
+	return s
+}
+
+// spareInterval returns an empty interval, reusing a recycled one's
+// slices when there is one.
+func (tl *Timeline) spareInterval() interval {
+	n := len(tl.spare)
+	if n == 0 {
+		return interval{}
+	}
+	iv := tl.spare[n-1]
+	tl.spare[n-1] = interval{}
+	tl.spare = tl.spare[:n-1]
+	return iv
+}
+
+// recycle empties iv and keeps its slices for spareInterval.
+func (tl *Timeline) recycle(iv interval) {
+	//lint:ignore hotalloc the spare list holds at most the intervals one segment ever had at once
+	tl.spare = append(tl.spare, interval{
+		counters: iv.counters[:0],
+		hists:    iv.hists[:0],
+		roots:    iv.roots[:0],
+		gauges:   iv.gauges[:0],
 	})
-	s.lastBoundary = abs
-	if len(s.intervals) > tl.cfg.MaxIntervals {
-		s.coalesce()
-	}
 }
 
 // emitTracks mirrors the window's headline deltas into the trace ring as
 // counter events. Series order is the fixed config order (then gauge name
-// order), never a map range. Gauge tracks carry instantaneous readings,
-// not window deltas, and interleave with the event slices on the same
-// engine-local timebase.
-func (tl *Timeline) emitTracks(local uint64, dCyc obs.CycleSnapshot, dReg obs.Snapshot, sampledGauges bool) {
+// order). Gauge tracks carry instantaneous readings, not window deltas,
+// and interleave with the event slices on the same engine-local timebase.
+func (tl *Timeline) emitTracks(local uint64, cur, prev *reading, sampledGauges bool) {
 	tr := tl.cfg.Tracer
 	if tr == nil {
 		return
 	}
-	tr.Emit(obs.EvCounter, 0, local, 0, "cycles", dCyc.Total)
-	for _, name := range tl.cfg.TrackCounters {
-		if v, ok := dReg.Counters[name]; ok {
-			tr.Emit(obs.EvCounter, 0, local, 0, name, v)
+	tr.Emit(obs.EvCounter, 0, local, 0, "cycles", obs.SubClamp(cur.total, prev.total))
+	if n := len(cur.counters); n != tl.trackSeen {
+		for i, name := range tl.cfg.TrackCounters {
+			tl.trackSlots[i] = tl.reg.CounterSlot(name)
+		}
+		tl.trackSeen = n
+	}
+	for i, name := range tl.cfg.TrackCounters {
+		if slot := tl.trackSlots[i]; slot >= 0 {
+			tr.Emit(obs.EvCounter, 0, local, 0, name, obs.SubClamp(cur.counters[slot], at(prev.counters, slot)))
 		}
 	}
 	if sampledGauges {
-		for i := range tl.gauges {
-			tr.Emit(obs.EvCounter, 0, local, 0, tl.gauges[i].track, tl.gaugeVals[i])
+		for _, g := range tl.gaugeOrder {
+			tr.Emit(obs.EvCounter, 0, local, 0, tl.gauges[g].track, tl.gaugeVals[g])
 		}
 	}
 }
 
-// coalesce merges adjacent interval pairs and doubles the period.
-func (s *segment) coalesce() {
-	merged := make([]interval, 0, (len(s.intervals)+1)/2)
-	for i := 0; i+1 < len(s.intervals); i += 2 {
-		a, b := s.intervals[i], s.intervals[i+1]
-		merged = append(merged, interval{
-			start:        a.start,
-			end:          b.end,
-			reg:          mergeReg(a.reg, b.reg),
-			cyc:          mergeCyc(a.cyc, b.cyc),
-			gauges:       mergeGauges(a.gauges, b.gauges),
-			gaugeSamples: a.gaugeSamples + b.gaugeSamples,
-		})
+// coalesce merges adjacent interval pairs in place, recycling the second
+// of each pair, and doubles the period.
+func (tl *Timeline) coalesce(s *segment) {
+	n, j := len(s.intervals), 0
+	for i := 0; i+1 < n; i += 2 {
+		s.intervals[i].merge(&s.intervals[i+1])
+		tl.recycle(s.intervals[i+1])
+		s.intervals[j] = s.intervals[i]
+		j++
 	}
-	if len(s.intervals)%2 == 1 {
-		merged = append(merged, s.intervals[len(s.intervals)-1])
+	if n%2 == 1 {
+		s.intervals[j] = s.intervals[n-1]
+		j++
 	}
-	s.intervals = merged
+	s.intervals = s.intervals[:j]
 	s.period *= 2
-}
-
-// emptyDelta reports whether the window saw no activity at all.
-func emptyDelta(dReg obs.Snapshot, dCyc obs.CycleSnapshot) bool {
-	if dCyc.Total != 0 {
-		return false
-	}
-	for _, v := range dReg.Counters {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, h := range dReg.Hists {
-		if h.Count != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeReg sums two window deltas.
-func mergeReg(a, b obs.Snapshot) obs.Snapshot {
-	m := obs.Snapshot{
-		Counters: make(map[string]uint64, len(a.Counters)),
-		Hists:    make(map[string]obs.HistSnapshot, len(a.Hists)),
-	}
-	for k, v := range a.Counters {
-		m.Counters[k] = v
-	}
-	for k, v := range b.Counters {
-		m.Counters[k] += v
-	}
-	for k, h := range a.Hists {
-		m.Hists[k] = h
-	}
-	for k, h := range b.Hists {
-		m.Hists[k] = mergeHist(m.Hists[k], h)
-	}
-	return m
-}
-
-// mergeHist sums two histogram window deltas bucket-wise.
-func mergeHist(a, b obs.HistSnapshot) obs.HistSnapshot {
-	out := obs.HistSnapshot{Sum: a.Sum + b.Sum, Count: a.Count + b.Count}
-	if len(a.Buckets)+len(b.Buckets) > 0 {
-		out.Buckets = make(map[int]uint64, len(a.Buckets))
-		for k, v := range a.Buckets {
-			out.Buckets[k] = v
-		}
-		for k, v := range b.Buckets {
-			out.Buckets[k] += v
-		}
-	}
-	return out
-}
-
-// mergeGauges combines two intervals' gauge accumulations: sums add
-// (preserving the mean across gaugeSamples) and maxima take the larger.
-func mergeGauges(a, b map[string]gaugeAcc) map[string]gaugeAcc {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make(map[string]gaugeAcc, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		acc := out[k]
-		acc.sum += v.sum
-		if v.max > acc.max {
-			acc.max = v.max
-		}
-		out[k] = acc
-	}
-	return out
-}
-
-// mergeCyc sums two cycle-profile window deltas leaf-wise.
-func mergeCyc(a, b obs.CycleSnapshot) obs.CycleSnapshot {
-	out := obs.CycleSnapshot{Total: a.Total + b.Total, Leaves: make(map[string]obs.CycleLeaf, len(a.Leaves))}
-	for p, l := range a.Leaves {
-		out.Leaves[p] = l
-	}
-	for p, l := range b.Leaves {
-		acc := out.Leaves[p]
-		acc.Cycles += l.Cycles
-		acc.Count += l.Count
-		if len(l.ByCore) > 0 {
-			if acc.ByCore == nil {
-				acc.ByCore = make(map[int]uint64, len(l.ByCore))
-			}
-			for c, v := range l.ByCore {
-				acc.ByCore[c] += v
-			}
-		}
-		out.Leaves[p] = acc
-	}
-	return out
-}
-
-// attrRoot returns the top-level component of a dotted attribution path.
-func attrRoot(path string) string {
-	if i := strings.IndexByte(path, '.'); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

@@ -8,15 +8,17 @@
 //
 // Host backing is demand-paged, so host memory scales with the bytes a run
 // touches rather than the configured capacity. The device keeps a
-// directory of 4 KiB host pages, one slot per simulated page frame; an
-// empty slot reads as zeros. The first write to a page materializes it,
-// preferring a page from the device's spare list (cleared unless the
-// write covers the whole page). Zero clears partially covered pages and
-// moves wholly covered ones to the spare list; Discard does the same
-// without charges or statistics, and the file systems call it when freed
-// blocks go back to their allocator. None of this is visible in virtual
-// time: every charge, statistic and persistence rule is the same as for
-// a flat byte array.
+// two-level directory of 4 KiB host pages: a top level with one pointer
+// per 512 frames (2 MiB of device), and 512-slot leaves allocated on the
+// first write into their range. An absent leaf or an empty slot reads as
+// zeros. The first write to a page materializes it, preferring a page
+// from the device's spare list (cleared unless the write covers the
+// whole page). Zero clears partially covered pages and moves wholly
+// covered ones to the spare list; Discard does the same without charges
+// or statistics, and the file systems call it when freed blocks go back
+// to their allocator. None of this is visible in virtual time: every
+// charge, statistic and persistence rule is the same as for a flat byte
+// array.
 //
 // The physical address space is striped across per-NUMA-node banks (one
 // DIMM set per socket). Each bank has its own bandwidth token bucket, so
@@ -43,8 +45,8 @@ import (
 // NUMA nodes.
 type Device struct {
 	size  uint64
-	pages []*page // host backing by page frame number; nil reads as zeros
-	spare []*page // pages released by Zero/Discard, stale until reused
+	dir   []*dirLeaf // host backing by pfn/leafPages, then pfn%leafPages; nil reads as zeros
+	spare []*page    // pages released by Zero/Discard, stale until reused
 
 	// Persistence tracking (enabled for crash tests): the set of dirty
 	// cache lines written with cached stores and not yet flushed, and the
@@ -64,6 +66,14 @@ type Device struct {
 
 // page is the host backing of one simulated page frame.
 type page = [mem.PageSize]byte
+
+// leafPages is how many frames one directory leaf covers (2 MiB of
+// device in 4 KiB of pointers).
+const leafPages = 512
+
+// dirLeaf is the second directory level: the pages of leafPages
+// consecutive frames.
+type dirLeaf [leafPages]*page
 
 // framesAllocated counts host pages allocated by every device in the
 // process (see FramesAllocated).
@@ -110,10 +120,11 @@ type Config struct {
 	Topo *topo.Topology
 }
 
-// New creates a device. Only the page directory (one pointer per 4 KiB
-// frame) is allocated up front; backing pages are allocated on first
-// write and recycled through the spare list (see the package doc), so a
-// multi-GiB device costs host memory in proportion to what is written.
+// New creates a device. Only the directory's top level (one pointer per
+// 2 MiB of device, 4 KiB per GiB) is allocated up front; directory leaves
+// and backing pages are allocated on first write, and pages are recycled
+// through the spare list (see the package doc), so a multi-GiB device
+// costs host memory in proportion to what is written.
 func New(cfg Config) *Device {
 	if cfg.Size == 0 || !mem.IsAligned(cfg.Size, mem.PageSize) {
 		panic(fmt.Sprintf("pmem: bad device size %d", cfg.Size))
@@ -124,7 +135,7 @@ func New(cfg Config) *Device {
 	}
 	d := &Device{
 		size:             cfg.Size,
-		pages:            make([]*page, cfg.Size/mem.PageSize),
+		dir:              make([]*dirLeaf, (cfg.Size/mem.PageSize+leafPages-1)/leafPages),
 		trackPersistence: cfg.TrackPersistence,
 		tp:               cfg.Topo,
 		bankSize:         mem.AlignedUp(cfg.Size/uint64(nodes), mem.PageSize),
@@ -204,11 +215,25 @@ func (d *Device) Discard(addr mem.PhysAddr, n uint64) {
 	d.release(addr, n)
 }
 
+// lookup returns the backing page of frame pfn, or nil when absent.
+func (d *Device) lookup(pfn uint64) *page {
+	if l := d.dir[pfn/leafPages]; l != nil {
+		return l[pfn%leafPages]
+	}
+	return nil
+}
+
 // pageFor returns the backing page of frame pfn, materializing it if
 // absent: a spare page is reused first and cleared unless whole reports
 // that the caller overwrites the entire page.
 func (d *Device) pageFor(pfn uint64, whole bool) *page {
-	if p := d.pages[pfn]; p != nil {
+	l := d.dir[pfn/leafPages]
+	if l == nil {
+		//lint:ignore hotalloc first touch of a 2 MiB device range: leaves are never freed, so each is allocated once per device
+		l = new(dirLeaf)
+		d.dir[pfn/leafPages] = l
+	}
+	if p := l[pfn%leafPages]; p != nil {
 		return p
 	}
 	var p *page
@@ -224,7 +249,7 @@ func (d *Device) pageFor(pfn uint64, whole bool) *page {
 		p = new(page)
 		framesAllocated.Add(1)
 	}
-	d.pages[pfn] = p
+	l[pfn%leafPages] = p
 	return p
 }
 
@@ -248,7 +273,7 @@ func (d *Device) load(addr mem.PhysAddr, buf []byte) {
 	for len(buf) > 0 {
 		off := a % mem.PageSize
 		n := min(mem.PageSize-off, uint64(len(buf)))
-		if p := d.pages[a/mem.PageSize]; p != nil {
+		if p := d.lookup(a / mem.PageSize); p != nil {
 			copy(buf[:n], p[off:])
 		} else {
 			clear(buf[:n])
@@ -267,9 +292,9 @@ func (d *Device) release(addr mem.PhysAddr, n uint64) {
 		off := a % mem.PageSize
 		m := min(mem.PageSize-off, end-a)
 		pfn := a / mem.PageSize
-		if p := d.pages[pfn]; p != nil {
+		if p := d.lookup(pfn); p != nil {
 			if m == mem.PageSize {
-				d.pages[pfn] = nil
+				d.dir[pfn/leafPages][pfn%leafPages] = nil
 				d.spare = append(d.spare, p)
 			} else {
 				clear(p[off : off+m])

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"daxvm/internal/mem"
@@ -11,9 +12,14 @@ import (
 // residentPages reports how many of d's pages hold backing memory.
 func (d *Device) residentPages() int {
 	n := 0
-	for _, p := range d.pages {
-		if p != nil {
-			n++
+	for _, l := range d.dir {
+		if l == nil {
+			continue
+		}
+		for _, p := range l {
+			if p != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -209,4 +215,50 @@ func TestBytesCrossPagePanics(t *testing.T) {
 		}
 	}()
 	d.Bytes(mem.PageSize-4, 8)
+}
+
+// New must not allocate in proportion to the device size: only the
+// directory's top level exists before the first write.
+func TestNewAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := New(Config{Size: 1 << 30})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("New of a 1 GiB device allocated %d bytes, want < 64 KiB", got)
+	}
+}
+
+// A write materializes one directory leaf and one page; frames in the
+// same 2 MiB range share the leaf, and the last leaf of a device whose
+// size is not a multiple of 2 MiB still covers its tail frames.
+func TestDirectoryLeavesOnDemand(t *testing.T) {
+	d := New(Config{Size: 3 * leafPages * mem.PageSize / 2})
+	leaves := func() int {
+		n := 0
+		for _, l := range d.dir {
+			if l != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if len(d.dir) != 2 || leaves() != 0 {
+		t.Fatalf("fresh device: %d top-level slots, %d leaves; want 2, 0", len(d.dir), leaves())
+	}
+	last := mem.PhysAddr(d.Size() - mem.PageSize)
+	run(func(th *sim.Thread) {
+		d.WriteNT(th, 0, []byte{1})
+		d.WriteNT(th, mem.PageSize, []byte{2})
+		d.WriteNT(th, last, []byte{3})
+	})
+	if leaves() != 2 || d.residentPages() != 3 {
+		t.Fatalf("after 3 writes: %d leaves, %d pages; want 2, 3", leaves(), d.residentPages())
+	}
+	got := make([]byte, 1)
+	d.Peek(last, got)
+	if got[0] != 3 {
+		t.Fatalf("tail frame read back %d, want 3", got[0])
+	}
 }

@@ -57,13 +57,14 @@ var defaultRoots = []string{
 	"(*daxvm/internal/obs.CycleAccount).Charge",
 	"(*daxvm/internal/obs/span.Collector).Observe",
 	"(*daxvm/internal/obs/span.Collector).Wait",
+	// The timeline sampler runs on every wake, hundreds of times per
+	// run: its slot readings and interval recording must not allocate in
+	// steady state.
+	"(*daxvm/internal/obs/timeline.Timeline).Sample",
 	// Gauge readers run on every timeline sampler wake and must stay
 	// allocation-free. They are registered as method values
 	// (kernel.registerGauges), so they are rooted explicitly instead of
-	// relying on dynamic-call resolution through the registry. The
-	// sampler's own interval recording is deliberately NOT a root: it
-	// allocates per interval, which adaptive coalescing bounds at ~200
-	// per run — amortized bookkeeping, not per-event work.
+	// relying on dynamic-call resolution through the registry.
 	"(*daxvm/internal/kernel.Kernel).gaugeRunQueue",
 	"(*daxvm/internal/kernel.Kernel).gaugeMmapSemQueue",
 	"(*daxvm/internal/kernel.Kernel).gaugeInflightIPIs",
