@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint lint-json test hostbench-test race smoke sched-gate perf-gate validate-baselines baseline clean
+.PHONY: ci build fmt vet lint lint-json test bench-smoke hostbench-test race smoke sched-gate perf-gate validate-baselines baseline clean
 
-ci: fmt vet lint build test hostbench-test race smoke sched-gate perf-gate validate-baselines
+ci: fmt vet lint build test bench-smoke hostbench-test race smoke sched-gate perf-gate validate-baselines
 
 # Experiments the perf gate runs: cheap, deterministic, and together they
 # exercise the journal, allocator, file tables and mapped-access paths.
@@ -38,6 +38,13 @@ lint-json:
 
 test:
 	$(GO) test ./...
+
+# Run every charge-path and timeline microbenchmark once, so they keep
+# compiling and running; timings come from a longer -benchtime by hand.
+BENCH_PKGS = ./internal/sim ./internal/obs ./internal/obs/span ./internal/obs/timeline
+
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # The host-cost benchmark is a nested module outside ./..., so `test`
 # does not build it; its short tests catch drift in the simulator API it

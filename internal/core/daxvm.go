@@ -337,6 +337,14 @@ type Proc struct {
 
 	zombies     []*mm.VMA
 	zombiePages uint64
+	// spareZombies is an emptied batch slice for the next batch, so
+	// deferring unmaps stops allocating once batches reach steady size.
+	spareZombies []*mm.VMA
+
+	// forceUnmapFn is the vfs.Inode.Mappers callback of every DaxVM
+	// mapping of this process (the owner key is the VMA), made once so
+	// that registering a mapping allocates no closure.
+	forceUnmapFn func(t *sim.Thread, owner any)
 }
 
 // procs tracked for zombie forcing on truncate.
@@ -346,6 +354,7 @@ type Proc struct {
 // ephemeral-VMA lookup.
 func (d *DaxVM) NewProc(m *mm.MM) *Proc {
 	p := &Proc{d: d, MM: m}
+	p.forceUnmapFn = func(t *sim.Thread, owner any) { p.forceUnmap(t, owner.(*mm.VMA)) }
 	p.Heap = NewEphemeralHeap(m)
 	m.EphemeralLookup = p.Heap.Lookup
 	m.DaxWPFault = p.wpFault
@@ -409,12 +418,12 @@ func (p *Proc) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, lengt
 
 	if ephemeral {
 		p.Heap.Register(t, v)
-		in.Mappers[v] = func(ft2 *sim.Thread) { p.forceUnmap(ft2, v) }
+		in.Mappers[v] = p.forceUnmapFn
 		//lint:ignore lockdiscipline acquired in the matching branch above
 		m.Sem.RUnlock(t, cost.SemReleaseFast)
 	} else {
 		m.InsertVMA(t, v)
-		in.Mappers[v] = func(ft2 *sim.Thread) { p.forceUnmap(ft2, v) }
+		in.Mappers[v] = p.forceUnmapFn
 		//lint:ignore lockdiscipline acquired in the matching branch above
 		m.Sem.Unlock(t, cost.SemReleaseFast)
 	}
@@ -596,7 +605,7 @@ func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
 	defer t.PopAttr()
 	p.Heap.lock.Lock(t, cost.SpinLockAcquire)
 	zs := p.zombies
-	p.zombies = nil
+	p.zombies, p.spareZombies = p.spareZombies, nil
 	pages := p.zombiePages
 	p.zombiePages = 0
 	p.Heap.lock.Unlock(t, cost.SpinLockRelease)
@@ -609,6 +618,10 @@ func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
 		}
 		p.detachEntries(t, core, v, false)
 	}
+	// The batch's slice becomes the next batch's, empty; a flush that
+	// raced this one already took the previous spare.
+	clear(zs)
+	p.spareZombies = zs[:0]
 	p.d.cpus.Shootdown(t, core, p.MM.Cores(), cpu.ShootFull, nil, 0, 0)
 	p.d.Stats.ZombieBatches++
 	p.d.Stats.ZombiePages += pages

@@ -108,7 +108,7 @@ type CoreStats struct {
 }
 
 type lineKey struct {
-	node *pt.Node
+	node uint64 // pt.Node.Serial: a recycled node starts cold
 	line int
 	gen  uint64
 }
@@ -253,7 +253,7 @@ func (c *Core) walkCost(as *pt.AddressSpace, va mem.VirtAddr, level int, ok bool
 // touchPTELine records a PTE cache-line touch, reporting whether it was
 // already warm.
 func (c *Core) touchPTELine(node *pt.Node, line int) bool {
-	k := lineKey{node, line, c.pteLineGen}
+	k := lineKey{node.Serial(), line, c.pteLineGen}
 	if _, ok := c.pteLines[k]; ok {
 		return true
 	}

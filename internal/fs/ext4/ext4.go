@@ -147,7 +147,7 @@ func (f *FS) vfsInode(di *inode, path string) *vfs.Inode {
 		Path:    path,
 		Size:    di.size,
 		Priv:    di,
-		Mappers: make(map[any]func(*sim.Thread)),
+		Mappers: make(map[any]func(*sim.Thread, any)),
 	}
 }
 

@@ -144,7 +144,7 @@ func (f *FS) newVFS(di *inode, path string) *vfs.Inode {
 		Path:    path,
 		Size:    di.size,
 		Priv:    di,
-		Mappers: make(map[any]func(*sim.Thread)),
+		Mappers: make(map[any]func(*sim.Thread, any)),
 	}
 }
 

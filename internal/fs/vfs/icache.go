@@ -12,7 +12,8 @@ type ICache struct {
 	fs       FS
 	capacity int
 	inodes   map[Ino]*Inode
-	lru      []Ino // approximate LRU: most-recent at the back
+	lru      []Ino            // approximate LRU: most-recent at the back
+	seen     map[Ino]struct{} // compactLRU's scratch set, empty between calls
 	hooks    *Hooks
 
 	Stats ICacheStats
@@ -112,33 +113,46 @@ func (c *ICache) insert(t *sim.Thread, in *Inode) {
 	c.lru = append(c.lru, in.Ino)
 }
 
+// lruSlack lets a near-empty cache's LRU log grow a little before its
+// first compaction.
+const lruSlack = 64
+
 func (c *ICache) touch(ino Ino) {
 	// Cheap approximate LRU: append; duplicates resolved at eviction.
+	// Compacting is idempotent and commutes with appending, so when it
+	// runs changes no eviction choice; bounding the log by the cached
+	// set, not the capacity, keeps its backing array small.
 	c.lru = append(c.lru, ino)
-	if len(c.lru) > 8*c.capacity {
+	if len(c.lru) > 8*len(c.inodes)+lruSlack {
 		c.compactLRU()
 	}
 }
 
+// compactLRU drops duplicate and uncached entries from the LRU, keeping
+// each inode's most recent position, in place: the backing array is kept
+// for the appends that follow.
 func (c *ICache) compactLRU() {
-	seen := make(map[Ino]bool, len(c.inodes))
-	out := make([]Ino, 0, len(c.inodes))
+	if c.seen == nil {
+		c.seen = make(map[Ino]struct{}, len(c.inodes))
+	}
+	// Walk most-recent-first, packing kept entries against the back; the
+	// write index never passes the read index.
+	w := len(c.lru)
 	for i := len(c.lru) - 1; i >= 0; i-- {
 		ino := c.lru[i]
-		if seen[ino] {
+		if _, dup := c.seen[ino]; dup {
 			continue
 		}
 		if _, ok := c.inodes[ino]; !ok {
 			continue
 		}
-		seen[ino] = true
-		out = append(out, ino)
+		c.seen[ino] = struct{}{}
+		w--
+		c.lru[w] = ino
 	}
-	// out is most-recent-first; reverse to match ring convention.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	c.lru = out
+	n := copy(c.lru, c.lru[w:])
+	c.lru = c.lru[:n]
+	clear(c.seen)
 }
 
 func (c *ICache) evictOne(t *sim.Thread) bool {

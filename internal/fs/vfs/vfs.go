@@ -65,8 +65,9 @@ type Inode struct {
 
 	// Mappers is the address_space->i_mmap analogue: callbacks to force
 	// unmapping when blocks are reclaimed (truncate/unlink vs deferred
-	// unmap races). Keyed by an opaque owner.
-	Mappers map[any]func(t *sim.Thread)
+	// unmap races). Keyed by an opaque owner, which the callback is
+	// passed, so one callback serves every mapping of a process.
+	Mappers map[any]func(t *sim.Thread, owner any)
 
 	// Refs counts open file descriptions + mappings; the icache may only
 	// evict at zero.
@@ -154,8 +155,8 @@ type Hooks struct {
 // ForceUnmapAll invokes every registered mapper callback (truncate race
 // path).
 func ForceUnmapAll(t *sim.Thread, ino *Inode) {
-	for _, fn := range ino.Mappers {
-		fn(t)
+	for owner, fn := range ino.Mappers {
+		fn(t, owner)
 	}
 }
 

@@ -296,10 +296,10 @@ func (k *Kernel) Setup(fn func(t *sim.Thread)) {
 func (k *Kernel) attachEngine(e *sim.Engine) {
 	k.engines = append(k.engines, e)
 	if k.Obs != nil && k.Obs.Cycles != nil {
-		e.SetChargeSink(k.Obs.Cycles.Charge)
+		e.SetChargeSink(k.Obs.Cycles.Book)
 		// Bulk form for the sharded scheduler's workers; the sequential
 		// scheduler ignores it and calls the plain sink per charge.
-		e.SetChargeBulkSink(k.Obs.Cycles.ChargeN)
+		e.SetChargeBulkSink(k.Obs.Cycles.BookN)
 	}
 	if sp := k.Cfg.Spans; sp != nil {
 		e.SetChargeObserver(sp.Observe)
@@ -357,7 +357,7 @@ type Proc struct {
 	MM  *mm.MM
 	Dax *core.Proc
 
-	fds    map[int]*FileDesc
+	fds    map[int]FileDesc // by value: opening a file allocates nothing
 	nextFD int
 }
 
@@ -369,7 +369,7 @@ type FileDesc struct {
 
 // NewProc creates a process able to run on every core of the machine.
 func (k *Kernel) NewProc() *Proc {
-	p := &Proc{K: k, fds: make(map[int]*FileDesc), nextFD: 3}
+	p := &Proc{K: k, fds: make(map[int]FileDesc), nextFD: 3}
 	p.MM = mm.New(k.Pool, k.FS, k.Cpus)
 	if k.Topo.Multi() {
 		p.MM.SetPlacement(k.placement)
@@ -422,26 +422,26 @@ func (p *Proc) Spawn(name string, coreID int, start uint64, fn func(t *sim.Threa
 
 // --- system calls -----------------------------------------------------------
 
-// sysEnter opens the syscall's attribution frame and span ("syscall.<name>",
-// nested under the thread's current path) and charges the entry crossing;
-// the returned func charges the exit crossing and closes both. Use as
-// `defer p.sysEnter(t, "open")()`.
-func (p *Proc) sysEnter(t *sim.Thread, name string) func() {
-	cls := "syscall." + name
+// sysEnter opens the syscall's attribution frame and span (cls is
+// "syscall.<name>", nested under the thread's current path) and charges
+// the entry crossing; the returned func charges the exit crossing and
+// closes both. Use as `defer p.sysEnter(t, "syscall.open")(p, t)`. The
+// returned literal captures nothing, so it is a static func value and a
+// syscall's entry and exit allocate nothing.
+func (p *Proc) sysEnter(t *sim.Thread, cls string) func(*Proc, *sim.Thread) {
 	t.PushAttr(cls)
-	sp := p.K.Cfg.Spans
-	sp.Begin(t, cls)
+	p.K.Cfg.Spans.Begin(t, cls)
 	t.Charge(cost.UserKernelCrossing + cost.SyscallDispatch)
-	return func() {
+	return func(p *Proc, t *sim.Thread) {
 		t.Charge(cost.UserKernelCrossing)
-		sp.End(t)
+		p.K.Cfg.Spans.End(t)
 		t.PopAttr()
 	}
 }
 
 // Open opens an existing file.
 func (p *Proc) Open(t *sim.Thread, path string) (int, error) {
-	defer p.sysEnter(t, "open")()
+	defer p.sysEnter(t, "syscall.open")(p, t)
 	t.Charge(cost.OpenPath)
 	in, err := p.K.ICache.Open(t, path)
 	if err != nil {
@@ -450,13 +450,13 @@ func (p *Proc) Open(t *sim.Thread, path string) (int, error) {
 	t.Charge(cost.FDTableOp)
 	fd := p.nextFD
 	p.nextFD++
-	p.fds[fd] = &FileDesc{In: in}
+	p.fds[fd] = FileDesc{In: in}
 	return fd, nil
 }
 
 // Create makes and opens a new file.
 func (p *Proc) Create(t *sim.Thread, path string) (int, error) {
-	defer p.sysEnter(t, "create")()
+	defer p.sysEnter(t, "syscall.create")(p, t)
 	t.Charge(cost.OpenPath)
 	in, err := p.K.ICache.Create(t, path)
 	if err != nil {
@@ -465,13 +465,13 @@ func (p *Proc) Create(t *sim.Thread, path string) (int, error) {
 	t.Charge(cost.FDTableOp)
 	fd := p.nextFD
 	p.nextFD++
-	p.fds[fd] = &FileDesc{In: in}
+	p.fds[fd] = FileDesc{In: in}
 	return fd, nil
 }
 
 // Close drops the descriptor.
 func (p *Proc) Close(t *sim.Thread, fd int) error {
-	defer p.sysEnter(t, "close")()
+	defer p.sysEnter(t, "syscall.close")(p, t)
 	t.Charge(cost.CloseFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -487,20 +487,25 @@ func (p *Proc) Inode(fd int) *vfs.Inode { return p.fds[fd].In }
 
 // Read reads from the current position.
 func (p *Proc) Read(t *sim.Thread, fd int, buf []byte) (uint64, error) {
-	defer p.sysEnter(t, "read")()
+	defer p.sysEnter(t, "syscall.read")(p, t)
 	t.Charge(cost.ReadWriteFixed)
 	f, ok := p.fds[fd]
 	if !ok {
 		return 0, fmt.Errorf("kernel: bad fd %d", fd)
 	}
 	n, err := p.K.FS.ReadAt(t, f.In, f.Pos, buf)
-	f.Pos += n
+	// Advance the descriptor's position as it is now: another thread may
+	// have moved it, or closed the descriptor, while the read ran.
+	if g, ok := p.fds[fd]; ok {
+		g.Pos += n
+		p.fds[fd] = g
+	}
 	return n, err
 }
 
 // ReadAt reads at an absolute offset.
 func (p *Proc) ReadAt(t *sim.Thread, fd int, off uint64, buf []byte) (uint64, error) {
-	defer p.sysEnter(t, "pread")()
+	defer p.sysEnter(t, "syscall.pread")(p, t)
 	t.Charge(cost.ReadWriteFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -511,7 +516,7 @@ func (p *Proc) ReadAt(t *sim.Thread, fd int, off uint64, buf []byte) (uint64, er
 
 // Append writes at end of file.
 func (p *Proc) Append(t *sim.Thread, fd int, data []byte) error {
-	defer p.sysEnter(t, "append")()
+	defer p.sysEnter(t, "syscall.append")(p, t)
 	t.Charge(cost.ReadWriteFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -522,7 +527,7 @@ func (p *Proc) Append(t *sim.Thread, fd int, data []byte) error {
 
 // WriteAt overwrites existing bytes.
 func (p *Proc) WriteAt(t *sim.Thread, fd int, off uint64, data []byte) error {
-	defer p.sysEnter(t, "pwrite")()
+	defer p.sysEnter(t, "syscall.pwrite")(p, t)
 	t.Charge(cost.ReadWriteFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -533,7 +538,7 @@ func (p *Proc) WriteAt(t *sim.Thread, fd int, off uint64, data []byte) error {
 
 // Fallocate reserves blocks.
 func (p *Proc) Fallocate(t *sim.Thread, fd int, off, n uint64) error {
-	defer p.sysEnter(t, "fallocate")()
+	defer p.sysEnter(t, "syscall.fallocate")(p, t)
 	f, ok := p.fds[fd]
 	if !ok {
 		return fmt.Errorf("kernel: bad fd %d", fd)
@@ -543,7 +548,7 @@ func (p *Proc) Fallocate(t *sim.Thread, fd int, off, n uint64) error {
 
 // Ftruncate resizes.
 func (p *Proc) Ftruncate(t *sim.Thread, fd int, size uint64) error {
-	defer p.sysEnter(t, "ftruncate")()
+	defer p.sysEnter(t, "syscall.ftruncate")(p, t)
 	f, ok := p.fds[fd]
 	if !ok {
 		return fmt.Errorf("kernel: bad fd %d", fd)
@@ -553,7 +558,7 @@ func (p *Proc) Ftruncate(t *sim.Thread, fd int, size uint64) error {
 
 // Fsync commits the file.
 func (p *Proc) Fsync(t *sim.Thread, fd int) error {
-	defer p.sysEnter(t, "fsync")()
+	defer p.sysEnter(t, "syscall.fsync")(p, t)
 	f, ok := p.fds[fd]
 	if !ok {
 		return fmt.Errorf("kernel: bad fd %d", fd)
@@ -564,7 +569,7 @@ func (p *Proc) Fsync(t *sim.Thread, fd int) error {
 
 // Unlink removes a file.
 func (p *Proc) Unlink(t *sim.Thread, path string) error {
-	defer p.sysEnter(t, "unlink")()
+	defer p.sysEnter(t, "syscall.unlink")(p, t)
 	ino, err := p.K.FS.LookupPath(t, path)
 	if err != nil {
 		return err
@@ -585,7 +590,7 @@ func (p *Proc) Unlink(t *sim.Thread, path string) error {
 
 // Mmap is the POSIX mmap(2) path.
 func (p *Proc) Mmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm mem.Perm, flags mm.MapFlags) (mem.VirtAddr, error) {
-	defer p.sysEnter(t, "mmap")()
+	defer p.sysEnter(t, "syscall.mmap")(p, t)
 	f, ok := p.fds[fd]
 	if !ok {
 		return 0, fmt.Errorf("kernel: bad fd %d", fd)
@@ -600,27 +605,31 @@ func (p *Proc) Mmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm
 
 // Munmap is munmap(2).
 func (p *Proc) Munmap(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64) error {
-	defer p.sysEnter(t, "munmap")()
-	// Identify the inode to drop the mapping reference.
+	defer p.sysEnter(t, "syscall.munmap")(p, t)
+	// Identify the inode to drop the mapping reference. Read it now: the
+	// unmapped VMA goes back to mm for reuse.
+	var in *vfs.Inode
 	p.MM.Sem.RLock(t, 0)
-	v := p.MM.FindVMA(t, va)
+	if v := p.MM.FindVMA(t, va); v != nil {
+		in = v.Inode
+	}
 	p.MM.Sem.RUnlock(t, 0)
 	err := p.MM.Munmap(t, c, va, length)
-	if err == nil && v != nil && v.Inode != nil {
-		p.K.ICache.Put(t, v.Inode)
+	if err == nil && in != nil {
+		p.K.ICache.Put(t, in)
 	}
 	return err
 }
 
 // Msync is msync(2).
 func (p *Proc) Msync(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64) error {
-	defer p.sysEnter(t, "msync")()
+	defer p.sysEnter(t, "syscall.msync")(p, t)
 	return p.MM.Msync(t, c, va, length)
 }
 
 // Mprotect is mprotect(2).
 func (p *Proc) Mprotect(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64, perm mem.Perm) error {
-	defer p.sysEnter(t, "mprotect")()
+	defer p.sysEnter(t, "syscall.mprotect")(p, t)
 	if p.Dax != nil {
 		p.MM.Sem.RLock(t, 0)
 		v := p.MM.FindVMA(t, va)
@@ -634,7 +643,7 @@ func (p *Proc) Mprotect(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint
 
 // DaxvmMmap is daxvm_mmap(2).
 func (p *Proc) DaxvmMmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm mem.Perm, flags core.Flags) (mem.VirtAddr, error) {
-	defer p.sysEnter(t, "daxvm_mmap")()
+	defer p.sysEnter(t, "syscall.daxvm_mmap")(p, t)
 	if p.Dax == nil {
 		return 0, fmt.Errorf("kernel: DaxVM not enabled")
 	}
@@ -652,7 +661,7 @@ func (p *Proc) DaxvmMmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64,
 
 // DaxvmMunmap is daxvm_munmap(2).
 func (p *Proc) DaxvmMunmap(t *sim.Thread, c *cpu.Core, va mem.VirtAddr) error {
-	defer p.sysEnter(t, "daxvm_munmap")()
+	defer p.sysEnter(t, "syscall.daxvm_munmap")(p, t)
 	p.MM.Sem.RLock(t, 0)
 	v := p.MM.FindVMA(t, va)
 	p.MM.Sem.RUnlock(t, 0)

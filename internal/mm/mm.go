@@ -9,7 +9,9 @@
 package mm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"daxvm/internal/cost"
 	"daxvm/internal/cpu"
@@ -52,6 +54,11 @@ type VMA struct {
 	NoSync      bool
 	UnmapAsync  bool
 	AttachLevel int
+
+	// recycle marks a VMA that Mmap allocated, which munmap may hand
+	// back to newVMA once it is gone from the tree. VMAs built elsewhere
+	// (DaxVM's) stay referenced by their owners after unmap.
+	recycle bool
 }
 
 // Len returns the VMA length in bytes.
@@ -69,6 +76,19 @@ type MM struct {
 	fs    vfs.FS
 	cpus  *cpu.Set
 	cores map[int]*cpu.Core // cores this process runs on (shootdown set)
+	// coreList is cores in core-id order, rebuilt when a core registers.
+	coreList []*cpu.Core
+	// freeNodes holds page-table nodes the address space freed, for
+	// newNode to recycle.
+	freeNodes []*pt.Node
+	// freeVMAs holds unmapped VMAs for newVMA to recycle, and
+	// overlapping is munmapRange's scratch list.
+	freeVMAs    []*VMA
+	overlapping []*VMA
+	// forceUnmapFn is the vfs.Inode.Mappers callback of every VMA of this
+	// process (the owner key is the VMA), made once so that registering
+	// a mapping allocates no closure.
+	forceUnmapFn func(t *sim.Thread, owner any)
 
 	vaCursor mem.VirtAddr
 
@@ -131,25 +151,44 @@ func New(pool *dram.Pool, fs vfs.FS, cpus *cpu.Set) *MM {
 		vaCursor:         mmBase,
 		HugePagesEnabled: true,
 	}
+	m.forceUnmapFn = func(t *sim.Thread, owner any) { m.forceUnmapLocked(t, owner.(*VMA)) }
 	m.AS = pt.NewAddressSpace(
 		func(t *sim.Thread, level int) *pt.Node {
 			node := mem.NodeID(0)
 			if t != nil && pool != nil {
 				node = m.PickNode(t)
-				n := pt.NewNode(level, mem.Loc{Medium: mem.DRAM, Node: node})
+				n := m.newNode(level, mem.Loc{Medium: mem.DRAM, Node: node})
 				n.Frame = pool.AllocFrameOn(t, node)
 				return n
 			}
-			return pt.NewNode(level, mem.Loc{Medium: mem.DRAM, Node: node})
+			return m.newNode(level, mem.Loc{Medium: mem.DRAM, Node: node})
 		},
 		func(t *sim.Thread, n *pt.Node) {
 			if t != nil && pool != nil && n.Frame != pt.NoFrame {
 				pool.FreeFrame(t, n.Frame)
 				n.Frame = pt.NoFrame
 			}
+			m.freeNodes = append(m.freeNodes, n)
 		},
 	)
 	return m
+}
+
+// newNode returns an empty table node, recycling one the address space
+// freed before allocating a new one. Mapping churn (mmap, fault, munmap)
+// frees and reallocates table nodes on every request; recycling keeps
+// that from turning into host garbage. A recycled node gets a new
+// pt.Node.Serial, so the walker's PTE-line cache treats it as cold, as
+// it would a fresh allocation.
+func (m *MM) newNode(level int, loc mem.Loc) *pt.Node {
+	if k := len(m.freeNodes); k > 0 {
+		n := m.freeNodes[k-1]
+		m.freeNodes[k-1] = nil
+		m.freeNodes = m.freeNodes[:k-1]
+		n.Reset(level, loc)
+		return n
+	}
+	return pt.NewNode(level, loc)
 }
 
 // SetPlacement selects the process's memory-placement policy.
@@ -185,18 +224,25 @@ func (m *MM) NodeOfMapped(va mem.VirtAddr) (mem.NodeID, bool) {
 func (m *MM) FS() vfs.FS { return m.fs }
 
 // RunOn registers a core as running this process (shootdown targeting).
-func (m *MM) RunOn(c *cpu.Core) { m.cores[c.ID] = c }
-
-// Cores returns the registered cores.
-func (m *MM) Cores() []*cpu.Core {
-	out := make([]*cpu.Core, 0, len(m.cores))
-	for i := 0; i < len(m.cpus.Cores); i++ {
-		if c, ok := m.cores[i]; ok {
-			out = append(out, c)
-		}
+func (m *MM) RunOn(c *cpu.Core) {
+	if m.cores[c.ID] == c {
+		return
 	}
-	return out
+	m.cores[c.ID] = c
+	// A new slice, not an in-place update: callers may still hold the
+	// previous one.
+	out := make([]*cpu.Core, 0, len(m.cores))
+	for _, c := range m.cores {
+		out = append(out, c)
+	}
+	slices.SortFunc(out, func(a, b *cpu.Core) int { return cmp.Compare(a.ID, b.ID) })
+	m.coreList = out
 }
+
+// Cores returns the registered cores in core-id order. The slice is
+// shared and must not be modified; a later RunOn replaces it rather than
+// changing it.
+func (m *MM) Cores() []*cpu.Core { return m.coreList }
 
 // FindVMA returns the VMA containing va (caller holds Sem).
 func (m *MM) FindVMA(t *sim.Thread, va mem.VirtAddr) *VMA {
@@ -266,12 +312,14 @@ func (m *MM) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, length 
 	m.Sem.Lock(t, cost.SemAcquireFast)
 	length = mem.AlignedUp(length, mem.PageSize)
 	va := m.GetUnmappedArea(t, length, mem.PageSize)
-	v := &VMA{
+	v := m.newVMA()
+	*v = VMA{
 		Start: va, End: va + mem.VirtAddr(length),
 		Perm: perm, Flags: flags, Inode: in, FileOff: fileOff,
+		recycle: true,
 	}
 	m.InsertVMA(t, v)
-	in.Mappers[v] = func(ft *sim.Thread) { m.forceUnmapLocked(ft, v) }
+	in.Mappers[v] = m.forceUnmapFn
 	m.Stats.Mmaps++
 	if flags&MapPopulate != 0 {
 		m.populateRange(t, core, v, v.Start, v.End)
@@ -555,8 +603,9 @@ func (m *MM) munmapLocked(t *sim.Thread, core *cpu.Core, va, end mem.VirtAddr) e
 }
 
 func (m *MM) munmapRange(t *sim.Thread, core *cpu.Core, va, end mem.VirtAddr, inval bool) error {
-	// Collect overlapping VMAs.
-	var overlapping []*VMA
+	// Collect overlapping VMAs into the scratch list; the caller holds
+	// Sem for writing, so no other munmap shares it.
+	overlapping := m.overlapping[:0]
 	m.vmas.Ascend(0, func(k uint64, v *VMA) bool {
 		if v.Start >= end {
 			return false
@@ -566,6 +615,7 @@ func (m *MM) munmapRange(t *sim.Thread, core *cpu.Core, va, end mem.VirtAddr, in
 		}
 		return true
 	})
+	m.overlapping = overlapping
 	if len(overlapping) == 0 {
 		return nil
 	}
@@ -577,14 +627,14 @@ func (m *MM) munmapRange(t *sim.Thread, core *cpu.Core, va, end mem.VirtAddr, in
 			left := *v
 			left.End = va
 			m.InsertVMA(t, &left)
-			v.Inode.Mappers[&left] = func(ft *sim.Thread) { m.forceUnmapLocked(ft, &left) }
+			v.Inode.Mappers[&left] = m.forceUnmapFn
 		}
 		if v.End > end {
 			right := *v
 			right.Start = end
 			right.FileOff = v.FileOff + uint64(end-v.Start)
 			m.InsertVMA(t, &right)
-			v.Inode.Mappers[&right] = func(ft *sim.Thread) { m.forceUnmapLocked(ft, &right) }
+			v.Inode.Mappers[&right] = m.forceUnmapFn
 		}
 	}
 	lo := overlapping[0].Start
@@ -602,7 +652,28 @@ func (m *MM) munmapRange(t *sim.Thread, core *cpu.Core, va, end mem.VirtAddr, in
 	if inval {
 		m.invalidate(t, core, lo, hi, cleared)
 	}
+	// The unmapped VMAs are gone from the tree and the inode's mappers,
+	// and Sem (held for writing) kept every fault off them.
+	for i, v := range overlapping {
+		if v.recycle {
+			*v = VMA{}
+			m.freeVMAs = append(m.freeVMAs, v)
+		}
+		overlapping[i] = nil
+	}
 	return nil
+}
+
+// newVMA returns a VMA for Mmap to fill, recycling an unmapped one when
+// there is one.
+func (m *MM) newVMA() *VMA {
+	if k := len(m.freeVMAs); k > 0 {
+		v := m.freeVMAs[k-1]
+		m.freeVMAs[k-1] = nil
+		m.freeVMAs = m.freeVMAs[:k-1]
+		return v
+	}
+	return &VMA{}
 }
 
 // invalidate applies Linux's batched-invalidation policy: few pages ->
@@ -664,7 +735,7 @@ func (m *MM) Mprotect(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uin
 			seg := *v
 			seg.Start, seg.End, seg.FileOff, seg.Perm = s, e, off, p
 			m.InsertVMA(t, &seg)
-			v.Inode.Mappers[&seg] = func(ft *sim.Thread) { m.forceUnmapLocked(ft, &seg) }
+			v.Inode.Mappers[&seg] = m.forceUnmapFn
 		}
 		if v.Start < va {
 			mkseg(v.Start, va, v.FileOff, v.Perm)

@@ -12,25 +12,30 @@ import (
 // CycleAccount is the hierarchical cycle-attribution profiler: every cycle
 // the simulator charges is booked against a dotted attribution path
 // ("app.syscall.write.ntstore", "app.access.fault.minor", ...), per
-// simulated core. It implements the sim engine's charge-sink signature, so
-// wiring is one SetChargeSink call per engine. Leaves are exact paths;
-// interior nodes exist implicitly as shared prefixes and are materialized
-// by Snapshot views (WriteTable, TotalOf).
+// simulated core. Its Book method matches the sim engine's charge-sink
+// signature, so wiring is one SetChargeSink call per engine. Leaves are
+// exact paths; interior nodes exist implicitly as shared prefixes and
+// are materialized by Snapshot views (WriteTable, TotalOf).
 //
 // Invariant (asserted by bench tests): Total() equals the sum of
 // Engine.TotalCharged() over every engine wired to the account — the
 // profile cannot silently lose time.
 type CycleAccount struct {
 	mu sync.Mutex
+	// leaves is indexed by Path; nil until the path's first charge.
 	// guarded by mu
-	leaves map[string]*cycleLeaf
-	total  uint64 // guarded by mu
+	leaves []*cycleLeaf
+	// order lists the charged paths in first-charge order, so snapshots
+	// cost the account's own leaves, not the process-wide id range.
+	// guarded by mu
+	order []Path
+	total uint64 // guarded by mu
 	// Per-root totals in first-seen slot order: a root is a path's first
 	// component ("app" for "app.syscall.write"), resolved once when its
 	// first leaf is created, so every charge adds to its root with one
 	// slice add and ReadRoots copies a flat slice.
 	// guarded by mu
-	rootNames []string
+	rootPaths []Path
 	// guarded by mu
 	roots []uint64
 }
@@ -38,18 +43,25 @@ type CycleAccount struct {
 type cycleLeaf struct {
 	cycles uint64
 	count  uint64
-	root   int // slot in CycleAccount.roots
-	byCore map[int]uint64
+	root   int          // slot in CycleAccount.roots
+	byCore []coreCycles // indexed by core
+}
+
+// coreCycles is one core's share of a leaf. charged tells a core that
+// booked 0 cycles apart from one that never booked.
+type coreCycles struct {
+	cycles  uint64
+	charged bool
 }
 
 // NewCycleAccount creates an empty account.
 func NewCycleAccount() *CycleAccount {
-	return &CycleAccount{leaves: make(map[string]*cycleLeaf)}
+	return &CycleAccount{}
 }
 
-// Charge books cycles against path on core. Nil-safe, and the signature
+// Book books cycles against path on core. Nil-safe, and the signature
 // matches sim.Engine.SetChargeSink so the method value wires directly.
-func (a *CycleAccount) Charge(core int, path string, cycles uint64) {
+func (a *CycleAccount) Book(core int, path Path, cycles uint64) {
 	if a == nil {
 		return
 	}
@@ -58,12 +70,12 @@ func (a *CycleAccount) Charge(core int, path string, cycles uint64) {
 	a.mu.Unlock()
 }
 
-// ChargeN books a pre-aggregated batch: cycles summed over count charges
-// to the same (core, path). It is the bulk form of Charge used by the
+// BookN books a pre-aggregated batch: cycles summed over count charges
+// to the same (core, path). It is the bulk form of Book used by the
 // sharded scheduler's workers (wire via sim.Engine.SetChargeBulkSink);
-// because the account only ever sums, N single charges and one ChargeN
+// because the account only ever sums, N single charges and one BookN
 // land in the identical state.
-func (a *CycleAccount) ChargeN(core int, path string, cycles, count uint64) {
+func (a *CycleAccount) BookN(core int, path Path, cycles, count uint64) {
 	if a == nil {
 		return
 	}
@@ -74,42 +86,49 @@ func (a *CycleAccount) ChargeN(core int, path string, cycles, count uint64) {
 
 // bookLocked adds one (possibly aggregated) charge to path's leaf, its
 // root and the total. Caller holds mu.
-func (a *CycleAccount) bookLocked(core int, path string, cycles, count uint64) {
-	l := a.leaves[path]
+func (a *CycleAccount) bookLocked(core int, path Path, cycles, count uint64) {
+	var l *cycleLeaf
+	if int(path) < len(a.leaves) {
+		l = a.leaves[path]
+	}
 	if l == nil {
 		l = a.newLeafLocked(path)
 	}
 	l.cycles += cycles
 	l.count += count
-	l.byCore[core] += cycles
+	if core >= len(l.byCore) {
+		//lint:ignore hotalloc first charge on a new core of a leaf only; a run has a handful of cores
+		l.byCore = append(l.byCore, make([]coreCycles, core+1-len(l.byCore))...)
+	}
+	c := &l.byCore[core]
+	c.cycles += cycles
+	c.charged = true
 	a.roots[l.root] += cycles
 	a.total += cycles
 }
 
 // newLeafLocked creates path's leaf, resolving (or creating) its root
 // slot. Caller holds mu.
-func (a *CycleAccount) newLeafLocked(path string) *cycleLeaf {
-	root := AttrRoot(path)
-	slot := slices.Index(a.rootNames, root) // a run has a handful of roots
+func (a *CycleAccount) newLeafLocked(path Path) *cycleLeaf {
+	root := path.Root()
+	slot := slices.Index(a.rootPaths, root) // a run has a handful of roots
 	if slot < 0 {
 		slot = len(a.roots)
 		//lint:ignore hotalloc first charge under a new root only; a run has a handful of roots
-		a.rootNames = append(a.rootNames, root)
+		a.rootPaths = append(a.rootPaths, root)
 		//lint:ignore hotalloc first charge under a new root only; a run has a handful of roots
 		a.roots = append(a.roots, 0)
 	}
-	//lint:ignore hotalloc first charge to a unique path only; steady state hits the map
-	l := &cycleLeaf{root: slot, byCore: make(map[int]uint64)}
-	a.leaves[path] = l
-	return l
-}
-
-// AttrRoot returns the top-level component of a dotted attribution path.
-func AttrRoot(path string) string {
-	if i := strings.IndexByte(path, '.'); i >= 0 {
-		return path[:i]
+	if int(path) >= len(a.leaves) {
+		//lint:ignore hotalloc first charge to a path past the table end only; the table tracks the process-wide path count
+		a.leaves = append(a.leaves, make([]*cycleLeaf, int(path)+1-len(a.leaves))...)
 	}
-	return path
+	//lint:ignore hotalloc first charge to a unique path only; steady state indexes the slice
+	l := &cycleLeaf{root: slot}
+	a.leaves[path] = l
+	//lint:ignore hotalloc first charge to a unique path only
+	a.order = append(a.order, path)
+	return l
 }
 
 // Total reports all cycles booked so far.
@@ -140,7 +159,7 @@ func (a *CycleAccount) ReadRoots(dst []uint64) (total uint64, roots []uint64) {
 func (a *CycleAccount) RootName(i int) string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.rootNames[i]
+	return a.rootPaths[i].String()
 }
 
 // Snapshot copies the account state.
@@ -150,13 +169,16 @@ func (a *CycleAccount) Snapshot() CycleSnapshot {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s := CycleSnapshot{Total: a.total, Leaves: make(map[string]CycleLeaf, len(a.leaves))}
-	for path, l := range a.leaves {
+	s := CycleSnapshot{Total: a.total, Leaves: make(map[string]CycleLeaf, len(a.order))}
+	for _, p := range a.order {
+		l := a.leaves[p]
 		cl := CycleLeaf{Cycles: l.cycles, Count: l.count, ByCore: make(map[int]uint64, len(l.byCore))}
 		for c, v := range l.byCore {
-			cl.ByCore[c] = v
+			if v.charged {
+				cl.ByCore[c] = v.cycles
+			}
 		}
-		s.Leaves[path] = cl
+		s.Leaves[p.String()] = cl
 	}
 	return s
 }

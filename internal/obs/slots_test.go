@@ -55,10 +55,10 @@ func TestRegistrySlots(t *testing.T) {
 // Root totals are resolved at leaf creation and sum to the total.
 func TestCycleAccountRoots(t *testing.T) {
 	a := NewCycleAccount()
-	a.Charge(0, "app.syscall.write", 10)
-	a.Charge(1, "fault", 4)
-	a.ChargeN(0, "app.access", 6, 3)
-	a.Charge(0, "fault.minor", 1)
+	a.Book(0, InternPath("app.syscall.write"), 10)
+	a.Book(1, InternPath("fault"), 4)
+	a.BookN(0, InternPath("app.access"), 6, 3)
+	a.Book(0, InternPath("fault.minor"), 1)
 	total, roots := a.ReadRoots(nil)
 	if total != 21 || !reflect.DeepEqual(roots, []uint64{16, 5}) {
 		t.Fatalf("total %d, roots %v; want 21, [16 5]", total, roots)

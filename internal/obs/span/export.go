@@ -138,8 +138,10 @@ func (c *Collector) ExportSegment(id string) (SegmentExport, bool) {
 
 func exportSegment(s *segment) SegmentExport {
 	out := SegmentExport{Segment: s.id, WaitTotals: waitMap(s.waits)}
-	for _, name := range obs.SortedKeys(s.classes) {
-		st := s.classes[name]
+	classes := append([]namedClass(nil), s.classes...)
+	sort.Slice(classes, func(i, j int) bool { return classes[i].name < classes[j].name })
+	for _, cl := range classes {
+		name, st := cl.name, cl.st
 		snap := st.hist.Snapshot()
 		ce := ClassExport{
 			Class:       name,

@@ -146,8 +146,14 @@ type exemplar struct {
 // cross-checks saturation scores against.
 type segment struct {
 	id      string
-	classes map[string]*classStats
+	classes []namedClass // in first-seen order; exports sort by name
 	waits   [numWaitKinds]uint64
+}
+
+// namedClass is one op class's stats within a segment.
+type namedClass struct {
+	name string
+	st   *classStats
 }
 
 // empty reports whether the segment saw neither spans nor wait cycles.
@@ -163,18 +169,28 @@ func (s *segment) empty() bool {
 	return true
 }
 
+// class returns name's stats, creating them on first sight. A segment
+// holds a few dozen classes and most names are constants, so a scan by
+// string equality (pointer-equal on a hit) beats hashing the name.
 func (s *segment) class(name string) *classStats {
-	st := s.classes[name]
-	if st == nil {
-		//lint:ignore hotalloc once per new span class in a segment; steady state hits the map
-		st = &classStats{}
-		s.classes[name] = st
+	for _, c := range s.classes {
+		if c.name == name {
+			return c.st
+		}
 	}
+	//lint:ignore hotalloc once per new span class in a segment; steady state hits the scan
+	st := &classStats{}
+	//lint:ignore hotalloc once per new span class in a segment
+	s.classes = append(s.classes, namedClass{name, st})
 	return st
 }
 
-// noKind marks a charge label that maps to no wait kind.
-const noKind = WaitKind(numWaitKinds)
+// noKind marks a charge label that maps to no wait kind; unclassified
+// marks a path the collector has not classified yet.
+const (
+	noKind       = WaitKind(numWaitKinds)
+	unclassified = noKind + 1
+)
 
 // Collector owns the per-thread span stacks and the per-segment
 // aggregates. All entry points are nil-receiver safe so unwired
@@ -193,7 +209,9 @@ type Collector struct {
 	lastT   *sim.Thread // single-entry state cache: consecutive
 	lastS   *tstate     // charges come from the running thread
 
-	waitCls map[string]WaitKind // interned charge path → kind (noKind = none)
+	// waitCls caches each charge path's wait kind, indexed by the path
+	// id: classify runs once per path, on first sight.
+	waitCls []WaitKind
 
 	cur  *segment
 	done []*segment
@@ -207,8 +225,7 @@ func New(k int) *Collector {
 	return &Collector{
 		k:       k,
 		threads: map[*sim.Thread]*tstate{},
-		waitCls: map[string]WaitKind{},
-		cur:     &segment{classes: map[string]*classStats{}},
+		cur:     &segment{},
 	}
 }
 
@@ -259,7 +276,7 @@ func (c *Collector) Begin(t *sim.Thread, class string) {
 	// On a sharded engine the call is deferred: the scheduler replays it
 	// through Apply in emission order, off the model goroutine. The
 	// timestamp must be captured here — the clock moves on immediately.
-	if t.DeferObs(sim.ObsRecord{Kind: sim.ObsSpanBegin, T: t, Path: class, Now: t.Now()}) {
+	if t.DeferObs(sim.ObsRecord{Kind: sim.ObsSpanBegin, T: t, Class: class, Now: t.Now()}) {
 		return
 	}
 	c.beginAt(t, class, t.Now())
@@ -371,7 +388,7 @@ func (c *Collector) consider(st *classStats, n *node, tSelf uint64, tw [numWaitK
 // innermost open span, classifying bandwidth/NUMA/IPI labels into wait
 // kinds, and keeps the outside/remote counters that make the layer
 // reconcile exactly against Engine.TotalCharged.
-func (c *Collector) Observe(t *sim.Thread, path string, cycles uint64, remote bool) {
+func (c *Collector) Observe(t *sim.Thread, path obs.Path, cycles uint64, remote bool) {
 	if c == nil {
 		return
 	}
@@ -382,11 +399,7 @@ func (c *Collector) Observe(t *sim.Thread, path string, cycles uint64, remote bo
 		return
 	}
 	ts := c.state(t)
-	k, hit := c.waitCls[path]
-	if !hit {
-		k = classify(path)
-		c.waitCls[path] = k
-	}
+	k := c.waitKind(path)
 	if k != noKind {
 		// Segment totals count every classified charge exactly once,
 		// span or no span (a daemon's bw stall is still channel wait).
@@ -402,6 +415,25 @@ func (c *Collector) Observe(t *sim.Thread, path string, cycles uint64, remote bo
 	if k != noKind {
 		n.waits[k] += cycles
 	}
+}
+
+// waitKind returns path's cached wait kind, classifying it on first
+// sight. Caller holds mu.
+func (c *Collector) waitKind(path obs.Path) WaitKind {
+	if int(path) >= len(c.waitCls) {
+		n := len(c.waitCls)
+		//lint:ignore hotalloc wait-kind cache: grows to the process-wide path count, then only indexes
+		c.waitCls = append(c.waitCls, make([]WaitKind, int(path)+1-n)...)
+		for i := n; i < len(c.waitCls); i++ {
+			c.waitCls[i] = unclassified
+		}
+	}
+	k := c.waitCls[path]
+	if k == unclassified {
+		k = classify(path.String())
+		c.waitCls[path] = k
+	}
+	return k
 }
 
 // classify maps a charge path's leaf label to a wait kind. The labels
@@ -458,7 +490,7 @@ func (c *Collector) waitAt(t *sim.Thread, k WaitKind, cycles uint64) {
 func (c *Collector) Apply(rec sim.ObsRecord) {
 	switch rec.Kind {
 	case sim.ObsSpanBegin:
-		c.beginAt(rec.T, rec.Path, rec.Now)
+		c.beginAt(rec.T, rec.Class, rec.Now)
 	case sim.ObsSpanEnd:
 		c.endAt(rec.T, rec.Now)
 	case sim.ObsSpanWait:
@@ -477,7 +509,7 @@ func (c *Collector) StartSegment(id string) {
 	if !c.cur.empty() {
 		c.done = append(c.done, c.cur)
 	}
-	c.cur = &segment{id: id, classes: map[string]*classStats{}}
+	c.cur = &segment{id: id}
 }
 
 // ForgetIdle drops the span state of every thread with no open span. The

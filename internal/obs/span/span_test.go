@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"daxvm/internal/obs"
 	"daxvm/internal/sim"
 )
 
@@ -300,4 +301,27 @@ func TestEndWithoutBegin(t *testing.T) {
 	runOne(c, func(th *sim.Thread) {
 		c.End(th)
 	})
+}
+
+// BenchmarkCollectorObserve times one charge booked into an open span,
+// rotating over paths with and without a wait kind.
+func BenchmarkCollectorObserve(b *testing.B) {
+	var paths [8]obs.Path
+	for i, p := range []string{"app.syscall.write", "app.syscall.write.ntstore", "app.access.bw_stall", "app.access.walk.pte_hit",
+		"fault.minor", "app.syscall.read.copy", "app.access.data_remote", "app.access.fault.wp"} {
+		paths[i] = obs.InternPath(p)
+	}
+	c := New(4)
+	e := sim.New()
+	e.Go("bench", 0, 0, func(t *sim.Thread) {
+		c.Begin(t, "syscall.write")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Observe(t, paths[i%len(paths)], 10, false)
+		}
+		b.StopTimer()
+		c.End(t)
+	})
+	e.Run()
 }

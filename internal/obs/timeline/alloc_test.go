@@ -15,7 +15,7 @@ type sampleRig struct {
 	cyc  *obs.CycleAccount
 	h    *obs.Histogram
 	vals []uint64
-	path []string
+	path []obs.Path
 	now  uint64
 	i    int
 }
@@ -30,7 +30,7 @@ func newSampleRig(n int) *sampleRig {
 		if i%16 == 0 {
 			tracks = append(tracks, name)
 		}
-		r.path = append(r.path, fmt.Sprintf("r%d.leaf%d", i/4, i))
+		r.path = append(r.path, obs.InternPath(fmt.Sprintf("r%d.leaf%d", i/4, i)))
 	}
 	r.h = reg.Histogram("rig.lat")
 	reg.Histogram("rig.idle")
@@ -47,7 +47,7 @@ func (r *sampleRig) step() {
 	if r.i%5 != 0 {
 		for j := r.i % 3; j < len(r.vals); j += 3 {
 			r.vals[j] += uint64(j)
-			r.cyc.Charge(j%2, r.path[j], uint64(1+j))
+			r.cyc.Book(j%2, r.path[j], uint64(1+j))
 		}
 		r.h.Observe(uint64(r.i))
 	}

@@ -3,6 +3,7 @@ package timeline
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"daxvm/internal/obs"
@@ -218,7 +219,8 @@ func (s *refSegment) export() Export {
 			}
 		}
 		for path, l := range iv.cyc.Leaves {
-			out.Attr = put(out.Attr, obs.AttrRoot(path), out.Attr[obs.AttrRoot(path)]+l.Cycles)
+			root, _, _ := strings.Cut(path, ".")
+			out.Attr = put(out.Attr, root, out.Attr[root]+l.Cycles)
 		}
 		for name, g := range iv.gauges {
 			if g.sum != 0 || g.max != 0 {
@@ -293,16 +295,16 @@ func TestSampleMatchesReference(t *testing.T) {
 		p := newPair(reg, cyc, Config{BaseInterval: 10, TrackCounters: []string{"k.ops", "k.missing"}})
 		p.start("seg")
 		a = 150
-		cyc.Charge(0, "app.x", 4)
+		cyc.Book(0, obs.InternPath("app.x"), 4)
 		p.sample(10)
 		// A second boot re-registers the name with a reader starting over:
 		// the first window after it clamps to 0, later ones count again.
 		reg.Counter("k.ops", func() uint64 { return b })
 		b = 5
-		cyc.Charge(0, "app.x", 2)
+		cyc.Book(0, obs.InternPath("app.x"), 2)
 		p.sample(20)
 		b = 12
-		cyc.Charge(0, "app.x", 1)
+		cyc.Book(0, obs.InternPath("app.x"), 1)
 		p.sample(30)
 		p.flush("run", 35)
 		p.check(t)
@@ -326,7 +328,7 @@ func TestSampleMatchesReference(t *testing.T) {
 		h := reg.Histogram("b.lat")
 		h.Observe(300)
 		h.Observe(5)
-		cyc.Charge(1, "fault.minor", 9)
+		cyc.Book(1, obs.InternPath("fault.minor"), 9)
 		p.sample(20)
 		late = 45
 		h.Observe(70000)
@@ -341,17 +343,17 @@ func TestSampleMatchesReference(t *testing.T) {
 		p.gauge("q.depth", func(uint64) uint64 { return q })
 		p.gauge("zero.always", func(uint64) uint64 { return 0 })
 		p.start("seg")
-		cyc.Charge(0, "app.x", 3)
+		cyc.Book(0, obs.InternPath("app.x"), 3)
 		p.sample(10)
 		p.gauge("a.early", func(now uint64) uint64 { return early + now })
 		q = 9
-		cyc.Charge(0, "app.x", 3)
+		cyc.Book(0, obs.InternPath("app.x"), 3)
 		p.sample(20)
-		cyc.Charge(0, "app.y", 3)
+		cyc.Book(0, obs.InternPath("app.y"), 3)
 		p.sample(30)
 		// Re-registering keeps the slot and swaps the reader.
 		p.gauge("q.depth", func(uint64) uint64 { return 1 })
-		cyc.Charge(0, "app.y", 1)
+		cyc.Book(0, obs.InternPath("app.y"), 1)
 		p.sample(40)
 		p.flush("run", 40)
 		p.check(t)
@@ -370,7 +372,7 @@ func TestSampleMatchesReference(t *testing.T) {
 		roots := []string{"app.a", "fault.b", "journal", "setup.mkfs"}
 		for i := 0; i < 90; i++ {
 			if i%7 != 3 { // every seventh window is empty
-				cyc.Charge(i%2, roots[i%len(roots)], uint64(1+i%5))
+				cyc.Book(i%2, obs.InternPath(roots[i%len(roots)]), uint64(1+i%5))
 				ops += uint64(i % 3)
 				h.Observe(uint64(i * i))
 				depth = uint64(i % 4)
@@ -380,17 +382,17 @@ func TestSampleMatchesReference(t *testing.T) {
 			if i%30 == 29 {
 				// Work booked at the exact sample time after the sampler
 				// ran: a zero-width flush tail folds into the last interval.
-				cyc.Charge(0, "app.tail", 5)
+				cyc.Book(0, obs.InternPath("app.tail"), 5)
 				ops++
 				p.flush("run", now)
 				now = 0
 			}
 		}
 		p.start("second")
-		cyc.Charge(0, "app.a", 11)
+		cyc.Book(0, obs.InternPath("app.a"), 11)
 		p.sample(8)
 		p.sample(16) // empty
-		cyc.Charge(0, "app.a", 1)
+		cyc.Book(0, obs.InternPath("app.a"), 1)
 		p.flush("run", 16) // zero-width tail after an empty window
 		p.check(t)
 		ex := p.tl.Export()
@@ -403,7 +405,7 @@ func TestSampleMatchesReference(t *testing.T) {
 		cyc := obs.NewCycleAccount()
 		p := newPair(nil, cyc, Config{BaseInterval: 10, TrackCounters: []string{"k.ops"}})
 		p.start("seg")
-		cyc.Charge(0, "app.x", 4)
+		cyc.Book(0, obs.InternPath("app.x"), 4)
 		p.sample(10)
 		p.sample(20)
 		p.flush("run", 25)

@@ -25,18 +25,18 @@ func buildGoldenTimeline() *Timeline {
 	tl := New(reg, cyc, Config{BaseInterval: 16})
 
 	tl.StartSegment("alpha")
-	cyc.Charge(0, "app.work", 7)
-	cyc.Charge(0, "setup.mkfs", 3)
+	cyc.Book(0, obs.InternPath("app.work"), 7)
+	cyc.Book(0, obs.InternPath("setup.mkfs"), 3)
 	ops = 2
 	h.Observe(100)
 	h.Observe(400)
 	tl.Sample(16)
-	cyc.Charge(1, "app.work", 5)
+	cyc.Book(1, obs.InternPath("app.work"), 5)
 	ops = 3
 	tl.FlushRun("run-a", 30)
 
 	tl.StartSegment("beta")
-	cyc.Charge(0, "app.other", 11)
+	cyc.Book(0, obs.InternPath("app.other"), 11)
 	tl.FlushRun("run-b", 16)
 	return tl
 }

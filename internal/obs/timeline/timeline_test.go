@@ -21,8 +21,8 @@ func TestIntervalsReconcileAndCoalesce(t *testing.T) {
 	tl.StartSegment("seg")
 	var now uint64
 	for i := 0; i < 200; i++ {
-		cyc.Charge(0, "app.work", 7)
-		cyc.Charge(0, "fault.minor", 3)
+		cyc.Book(0, obs.InternPath("app.work"), 7)
+		cyc.Book(0, obs.InternPath("fault.minor"), 3)
 		ops++
 		h.Observe(uint64(100 + i))
 		now = tl.NextWake(now)
@@ -74,7 +74,7 @@ func TestEngineSamplerReconciles(t *testing.T) {
 		reg := obs.NewRegistry()
 		cyc := obs.NewCycleAccount()
 		e := sim.New()
-		e.SetChargeSink(cyc.Charge)
+		e.SetChargeSink(cyc.Book)
 		var tl *Timeline
 		if withTimeline {
 			tl = New(reg, cyc, Config{BaseInterval: 64, MaxIntervals: 16})
@@ -115,11 +115,11 @@ func TestSegmentsIndependent(t *testing.T) {
 	tl := New(reg, cyc, Config{BaseInterval: 32})
 
 	tl.StartSegment("a")
-	cyc.Charge(0, "app.x", 100)
+	cyc.Book(0, obs.InternPath("app.x"), 100)
 	tl.FlushRun("run", 40)
 
 	tl.StartSegment("b")
-	cyc.Charge(0, "app.x", 9)
+	cyc.Book(0, obs.InternPath("app.x"), 9)
 	tl.FlushRun("run", 10)
 
 	exs := tl.Export()
@@ -150,7 +150,7 @@ func TestWriteCSV(t *testing.T) {
 	cyc := obs.NewCycleAccount()
 	tl := New(reg, cyc, Config{BaseInterval: 32})
 	tl.StartSegment("csv")
-	cyc.Charge(0, "app.x", 5)
+	cyc.Book(0, obs.InternPath("app.x"), 5)
 	ops = 2
 	tl.FlushRun("run", 20)
 
@@ -183,7 +183,7 @@ func TestCounterTracks(t *testing.T) {
 	tr := obs.NewTracer(64)
 	tl := New(reg, cyc, Config{BaseInterval: 32, Tracer: tr, TrackCounters: []string{"test.ops"}})
 	tl.StartSegment("tr")
-	cyc.Charge(0, "app.x", 5)
+	cyc.Book(0, obs.InternPath("app.x"), 5)
 	ops = 3
 	tl.Sample(32)
 

@@ -20,6 +20,7 @@ package pt
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"daxvm/internal/mem"
 	"daxvm/internal/pmem"
@@ -143,14 +144,32 @@ type Node struct {
 
 	// live counts present entries + children, for teardown pruning.
 	live int
+
+	// serial identifies this incarnation of the node (see Serial).
+	serial uint64
 }
+
+// nodeSerials numbers node incarnations process-wide.
+var nodeSerials atomic.Uint64
 
 // NewNode allocates a table node at the given level at the given
 // location (medium + NUMA node).
 func NewNode(level int, loc mem.Loc) *Node {
 	//lint:ignore hotalloc the allocation is the modeled work: one table node per simulated page-table page
-	return &Node{Level: level, Loc: loc, Frame: NoFrame}
+	return &Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials.Add(1)}
 }
+
+// Reset turns a freed node back into an empty one at the given level and
+// location, as NewNode would return it, with a new Serial. Allocators
+// that recycle freed nodes call it instead of NewNode.
+func (n *Node) Reset(level int, loc mem.Loc) {
+	*n = Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials.Add(1)}
+}
+
+// Serial identifies this incarnation of the node: no two nodes share
+// one, and a node recycled through Reset gets a new one. Caches keyed by
+// it never mistake a recycled node for the table it used to be.
+func (n *Node) Serial() uint64 { return n.serial }
 
 // Child returns the interior child at idx.
 func (n *Node) Child(idx int) *Node { return n.children[idx] }

@@ -245,3 +245,21 @@ func TestClearRangePrunesNodes(t *testing.T) {
 		t.Fatal("no interior nodes pruned")
 	}
 }
+
+// TestResetGivesNewSerial: a recycled node is empty and is a new node to
+// every cache keyed by Serial.
+func TestResetGivesNewSerial(t *testing.T) {
+	a, b := NewNode(LevelPTE, mem.Loc{}), NewNode(LevelPTE, mem.Loc{})
+	if a.Serial() == b.Serial() {
+		t.Fatal("two nodes share a serial")
+	}
+	a.SetEntry(nil, 3, MakeEntry(7, mem.PermRead, false, false))
+	old := a.Serial()
+	a.Reset(LevelPMD, mem.Loc{Medium: mem.DRAM, Node: 1})
+	if a.Serial() == old || a.Serial() == b.Serial() {
+		t.Fatalf("reset node kept or reused a serial: %d (old %d, other %d)", a.Serial(), old, b.Serial())
+	}
+	if a.Live() != 0 || a.Entries[3] != 0 || a.Level != LevelPMD || a.Loc.Node != 1 || a.Frame != NoFrame {
+		t.Fatalf("reset node not empty: live %d entry %#x level %d loc %+v frame %d", a.Live(), a.Entries[3], a.Level, a.Loc, a.Frame)
+	}
+}

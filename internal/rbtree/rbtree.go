@@ -26,6 +26,9 @@ type node[V any] struct {
 type Tree[V any] struct {
 	root *node[V]
 	size int
+	// free holds deleted nodes for Insert to reuse, so a tree whose size
+	// stays steady under insert/delete churn stops allocating.
+	free []*node[V]
 }
 
 // Len returns the number of entries.
@@ -65,7 +68,8 @@ func (t *Tree[V]) Insert(key uint64, val V) bool {
 			return true
 		}
 	}
-	nn := &node[V]{key: key, val: val, parent: parent, color: red}
+	nn := t.newNode()
+	*nn = node[V]{key: key, val: val, parent: parent, color: red}
 	if parent == nil {
 		t.root = nn
 	} else if key < parent.key {
@@ -93,7 +97,21 @@ func (t *Tree[V]) Delete(key uint64) bool {
 	}
 	t.deleteNode(n)
 	t.size--
+	*n = node[V]{} // drop the value's references while the node waits
+	t.free = append(t.free, n)
 	return true
+}
+
+// newNode takes a deleted node off the free list, allocating only when
+// the tree grows past its earlier size.
+func (t *Tree[V]) newNode() *node[V] {
+	if k := len(t.free); k > 0 {
+		n := t.free[k-1]
+		t.free[k-1] = nil
+		t.free = t.free[:k-1]
+		return n
+	}
+	return &node[V]{}
 }
 
 // Floor returns the entry with the largest key <= key.

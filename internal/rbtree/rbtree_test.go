@@ -213,3 +213,29 @@ func TestQuickInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChurnReusesNodes: deleting and inserting at a steady size reuses
+// the deleted nodes.
+func TestChurnReusesNodes(t *testing.T) {
+	var tr Tree[int]
+	for k := uint64(0); k < 64; k++ {
+		tr.Insert(k, int(k))
+	}
+	next := uint64(64)
+	churn := func() {
+		tr.Delete(next - 64)
+		tr.Insert(next, int(next))
+		next++
+	}
+	if allocs := testing.AllocsPerRun(200, churn); allocs != 0 {
+		t.Fatalf("delete+insert allocated %v times, want 0", allocs)
+	}
+	if tr.Len() != 64 {
+		t.Fatalf("Len = %d, want 64", tr.Len())
+	}
+	for k := next - 64; k < next; k++ {
+		if v, ok := tr.Get(k); !ok || v != int(k) {
+			t.Fatalf("Get(%d) = %d, %v", k, v, ok)
+		}
+	}
+}

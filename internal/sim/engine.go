@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"daxvm/internal/obs"
 )
 
 // Engine owns the virtual-time scheduler.
@@ -50,31 +52,39 @@ type Engine struct {
 	obsSeq uint64
 	// sink, when set, receives every charge with its attribution path
 	// (see Thread.PushAttr) — the hook the cycle profiler attaches to.
-	sink func(core int, path string, cycles uint64)
+	sink func(core int, path obs.Path, cycles uint64)
 	// bulkSink, when set alongside sink, lets the sharded scheduler
 	// replace per-record sink calls with pre-aggregated (path, core)
 	// partials computed in parallel by the shard workers. The sequential
 	// scheduler ignores it. The aggregate must be addition-commutative
-	// (obs.CycleAccount.ChargeN is), so the final sink state is identical
+	// (obs.CycleAccount.BookN is), so the final sink state is identical
 	// to per-record application.
-	bulkSink func(core int, path string, cycles, count uint64)
+	bulkSink func(core int, path obs.Path, cycles, count uint64)
 	// observer, when set, additionally receives every charge together
 	// with the charging thread — the hook the span layer attaches to.
 	// remote marks cycles booked onto this thread by another thread
 	// (AddRemote): they belong to the target's timeline but not to any
 	// operation the target itself is executing.
-	observer func(t *Thread, path string, cycles uint64, remote bool)
+	observer func(t *Thread, path obs.Path, cycles uint64, remote bool)
 	// applier, when set, receives deferred span records (ObsRecord) in
 	// emission order on sharded engines. Sequential engines never defer,
 	// so Thread.DeferObs reports false and callers take their inline path.
 	applier func(rec ObsRecord)
-	// joined interns parent+"."+label concatenations. Attribution paths
-	// are drawn from a small fixed set, but frames open and charges label
-	// millions of times per run; without interning the resulting garbage
-	// forces GC cycles whose recycled spans make every subsequent
-	// gigabyte-sized device allocation eagerly zeroed. Safe without a
+	// joins caches label -> path id resolutions so that a steady-state
+	// frame push or labelled charge neither builds nor hashes a string:
+	// joins[0] holds whole names (top-level labels, AddRemote paths),
+	// joins[p+1] the children of path p. Each entry is a short list
+	// scanned by string equality; labels are mostly constants, so the
+	// comparison usually hits on pointer equality. Misses go to the
+	// process-wide interner (obs.InternPath/JoinPath). Safe without a
 	// lock: exactly one thread of an engine runs at a time.
-	joined map[string]map[string]string
+	joins [][]pathJoin
+}
+
+// pathJoin is one cached label resolution.
+type pathJoin struct {
+	label string
+	path  obs.Path
 }
 
 // stopToken is panicked into parked daemon threads at shutdown.
@@ -118,10 +128,10 @@ type Thread struct {
 	obsReader bool
 	fn        func(*Thread)
 
-	// attr is the attribution-frame stack: each element is the full
-	// dotted path of one open frame ("app.syscall.write", ...). Charges
-	// book against the innermost frame.
-	attr []string
+	// attr is the attribution-frame stack: each element is the id of
+	// one open frame's full dotted path ("app.syscall.write", ...).
+	// Charges book against the innermost frame.
+	attr []obs.Path
 
 	// blockedOn is a human-readable tag for deadlock dumps.
 	blockedOn string
@@ -129,6 +139,8 @@ type Thread struct {
 
 // Unattributed is the path charges book against outside any frame.
 const Unattributed = "unattributed"
+
+var unattributed = obs.InternPath(Unattributed)
 
 type threadState uint8
 
@@ -283,16 +295,16 @@ func (t *Thread) Now() uint64 { return t.clock }
 
 // SetChargeSink routes every subsequent charge on any thread of this
 // engine (with its attribution path and core) to fn. Pass nil to detach.
-func (e *Engine) SetChargeSink(fn func(core int, path string, cycles uint64)) { e.sink = fn }
+func (e *Engine) SetChargeSink(fn func(core int, path obs.Path, cycles uint64)) { e.sink = fn }
 
 // SetChargeBulkSink registers an aggregate form of the charge sink: on a
 // sharded engine, shard workers pre-aggregate deferred charges into
 // (path, core) partials in parallel and fn receives each partial's
 // summed cycles and call count instead of one sink call per charge. fn
-// must be addition-commutative with the plain sink (CycleAccount.ChargeN
+// must be addition-commutative with the plain sink (CycleAccount.BookN
 // is), so the final state is identical either way. Sequential engines
 // ignore it. Set it together with SetChargeSink.
-func (e *Engine) SetChargeBulkSink(fn func(core int, path string, cycles, count uint64)) {
+func (e *Engine) SetChargeBulkSink(fn func(core int, path obs.Path, cycles, count uint64)) {
 	e.bulkSink = fn
 }
 
@@ -301,7 +313,7 @@ func (e *Engine) SetChargeBulkSink(fn func(core int, path string, cycles, count 
 // here: unlike the sink it needs thread identity to resolve the open
 // span stack. remote is true for AddRemote bookings, which advance the
 // target thread's clock without being work that thread initiated.
-func (e *Engine) SetChargeObserver(fn func(t *Thread, path string, cycles uint64, remote bool)) {
+func (e *Engine) SetChargeObserver(fn func(t *Thread, path obs.Path, cycles uint64, remote bool)) {
 	e.observer = fn
 }
 
@@ -338,48 +350,61 @@ func (e *Engine) ReadyDepth() int {
 // but this numerator is reproducible bit-for-bit.
 func (e *Engine) Events() uint64 { return e.events }
 
-// join returns the interned parent.label path.
-func (e *Engine) join(parent, label string) string {
-	m := e.joined[parent]
-	if m == nil {
-		if e.joined == nil {
-			//lint:ignore hotalloc interning table: allocated once per engine
-			e.joined = make(map[string]map[string]string)
+// resolve returns the id of label in cache slot slot: under path
+// slot-1, or as a whole name when slot is 0 (see Engine.joins).
+func (e *Engine) resolve(slot int, label string) obs.Path {
+	if slot >= len(e.joins) {
+		//lint:ignore hotalloc join cache: grows to the process-wide path count once per engine
+		e.joins = append(e.joins, make([][]pathJoin, slot+1-len(e.joins))...)
+	}
+	for _, j := range e.joins[slot] {
+		if j.label == label {
+			return j.path
 		}
-		//lint:ignore hotalloc interning table: allocated once per unique parent path
-		m = make(map[string]string)
-		e.joined[parent] = m
 	}
-	p, ok := m[label]
-	if !ok {
-		//lint:ignore hotalloc interning miss: concat runs once per unique (parent, label) pair
-		p = parent + "." + label
-		m[label] = p
+	var p obs.Path
+	if slot == 0 {
+		p = obs.InternPath(label)
+	} else {
+		p = obs.JoinPath(obs.Path(slot-1), label)
 	}
+	//lint:ignore hotalloc join cache: one entry per unique (parent, label) pair per engine
+	e.joins[slot] = append(e.joins[slot], pathJoin{label, p})
 	return p
+}
+
+// child returns the path label resolves to under the innermost frame,
+// or label itself as a root with no frame open.
+func (t *Thread) child(label string) obs.Path {
+	slot := 0
+	if n := len(t.attr); n > 0 {
+		slot = int(t.attr[n-1]) + 1
+	}
+	return t.e.resolve(slot, label)
 }
 
 // PushAttr opens an attribution frame: label nests under the current path
 // ("fault.wp" inside "app.access" books as "app.access.fault.wp"); with no
 // open frame the label becomes a root.
 func (t *Thread) PushAttr(label string) {
-	if n := len(t.attr); n > 0 {
-		label = t.e.join(t.attr[n-1], label)
-	}
+	p := t.child(label)
 	//lint:ignore hotalloc attribution stack: reaches its steady nesting depth after warm-up
-	t.attr = append(t.attr, label)
+	t.attr = append(t.attr, p)
 }
 
 // PopAttr closes the innermost attribution frame.
 func (t *Thread) PopAttr() { t.attr = t.attr[:len(t.attr)-1] }
 
-// AttrPath returns the innermost frame's full dotted path.
-func (t *Thread) AttrPath() string {
+// attrPath returns the innermost frame's path id.
+func (t *Thread) attrPath() obs.Path {
 	if n := len(t.attr); n > 0 {
 		return t.attr[n-1]
 	}
-	return Unattributed
+	return unattributed
 }
+
+// AttrPath returns the innermost frame's full dotted path.
+func (t *Thread) AttrPath() string { return t.attrPath().String() }
 
 // Charge advances the thread's clock by c cycles of local work, booked
 // against the current attribution frame.
@@ -388,23 +413,19 @@ func (t *Thread) Charge(c uint64) {
 	t.e.charged += c
 	t.e.events++
 	if t.e.sink != nil || t.e.observer != nil {
-		t.e.sched.emitCharge(t, t.AttrPath(), c, false)
+		t.e.sched.emitCharge(t, t.attrPath(), c, false)
 	}
 }
 
 // ChargeAs books c under a one-shot child of the current frame — the cheap
 // way to label leaf costs (walk kinds, nt-stores) without stack churn. The
-// path string is only built when a sink or observer is attached.
+// path is only resolved when a sink or observer is attached.
 func (t *Thread) ChargeAs(label string, c uint64) {
 	t.clock += c
 	t.e.charged += c
 	t.e.events++
 	if t.e.sink != nil || t.e.observer != nil {
-		p := label
-		if n := len(t.attr); n > 0 {
-			p = t.e.join(t.attr[n-1], label)
-		}
-		t.e.sched.emitCharge(t, p, c, false)
+		t.e.sched.emitCharge(t, t.child(label), c, false)
 	}
 }
 
@@ -416,7 +437,7 @@ func (t *Thread) AddRemote(path string, c uint64) {
 	t.e.charged += c
 	t.e.events++
 	if t.e.sink != nil || t.e.observer != nil {
-		t.e.sched.emitCharge(t, path, c, true)
+		t.e.sched.emitCharge(t, t.e.resolve(0, path), c, true)
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"sync/atomic"
 	"testing"
+
+	"daxvm/internal/obs"
 )
 
 func TestSingleThreadClock(t *testing.T) {
@@ -315,8 +317,8 @@ func TestChargeSinkAttribution(t *testing.T) {
 		cycle uint64
 	}
 	var got []booked
-	e.SetChargeSink(func(core int, path string, cycles uint64) {
-		got = append(got, booked{core, path, cycles})
+	e.SetChargeSink(func(core int, path obs.Path, cycles uint64) {
+		got = append(got, booked{core, path.String(), cycles})
 	})
 	e.Go("t0", 3, 0, func(th *Thread) {
 		th.Charge(10) // empty stack -> unattributed

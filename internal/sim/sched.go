@@ -1,5 +1,7 @@
 package sim
 
+import "daxvm/internal/obs"
+
 // Scheduler is the engine's dispatch core: it owns the ready queue(s) and
 // the policy for delivering observability emissions (charge sink/observer
 // calls and deferred span records). Exactly one model thread runs at a
@@ -22,7 +24,7 @@ type Scheduler interface {
 	shardOf(core int) int
 	// emitCharge delivers one charge to the engine's sink/observer —
 	// inline, or deferred and merged in emission order.
-	emitCharge(t *Thread, path string, cycles uint64, remote bool)
+	emitCharge(t *Thread, path obs.Path, cycles uint64, remote bool)
 	// deferRecord offers a span record for deferred in-order
 	// application; false means the caller must apply it inline.
 	deferRecord(rec ObsRecord) bool
@@ -134,7 +136,7 @@ func (s *seqScheduler) pop() *Thread         { return s.ready.pop() }
 func (s *seqScheduler) readyDepth() int      { return s.ready.len() }
 func (s *seqScheduler) shardOf(core int) int { return -1 }
 
-func (s *seqScheduler) emitCharge(t *Thread, path string, cycles uint64, remote bool) {
+func (s *seqScheduler) emitCharge(t *Thread, path obs.Path, cycles uint64, remote bool) {
 	if s.e.sink != nil {
 		s.e.sink(t.Core, path, cycles)
 	}

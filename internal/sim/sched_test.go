@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"daxvm/internal/obs"
 )
 
 // --- concrete heap ---
@@ -182,11 +184,11 @@ type schedTrace struct {
 // workers before returning, so reading them afterwards is race-free.
 func runProgram(e *Engine, progs [][]op) schedTrace {
 	var tr schedTrace
-	e.SetChargeSink(func(core int, path string, cycles uint64) {
-		tr.sink = append(tr.sink, fmt.Sprintf("%d|%s|%d", core, path, cycles))
+	e.SetChargeSink(func(core int, path obs.Path, cycles uint64) {
+		tr.sink = append(tr.sink, fmt.Sprintf("%d|%s|%d", core, path.String(), cycles))
 	})
-	e.SetChargeObserver(func(t *Thread, path string, cycles uint64, remote bool) {
-		tr.observer = append(tr.observer, fmt.Sprintf("%s|%s|%d|%v", t.Name, path, cycles, remote))
+	e.SetChargeObserver(func(t *Thread, path obs.Path, cycles uint64, remote bool) {
+		tr.observer = append(tr.observer, fmt.Sprintf("%s|%s|%d|%v", t.Name, path.String(), cycles, remote))
 	})
 	mu := NewMutex(2200)
 	var spin SpinLock
@@ -311,24 +313,24 @@ func TestBulkSinkAggregation(t *testing.T) {
 
 	ref := make(map[key]agg)
 	eseq := New()
-	eseq.SetChargeSink(func(core int, path string, cycles uint64) {
-		a := ref[key{core, path}]
+	eseq.SetChargeSink(func(core int, path obs.Path, cycles uint64) {
+		a := ref[key{core, path.String()}]
 		a.cycles += cycles
 		a.count++
-		ref[key{core, path}] = a
+		ref[key{core, path.String()}] = a
 	})
 	runProgram2(eseq, progs)
 
 	got := make(map[key]agg)
 	esh := NewSharded(3, 8)
-	esh.SetChargeSink(func(core int, path string, cycles uint64) {
+	esh.SetChargeSink(func(core int, path obs.Path, cycles uint64) {
 		t.Error("plain sink called despite bulk sink being registered")
 	})
-	esh.SetChargeBulkSink(func(core int, path string, cycles, count uint64) {
-		a := got[key{core, path}]
+	esh.SetChargeBulkSink(func(core int, path obs.Path, cycles, count uint64) {
+		a := got[key{core, path.String()}]
 		a.cycles += cycles
 		a.count += count
-		got[key{core, path}] = a
+		got[key{core, path.String()}] = a
 	})
 	runProgram2(esh, progs)
 

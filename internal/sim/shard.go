@@ -1,11 +1,11 @@
 package sim
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"daxvm/internal/cost"
+	"daxvm/internal/obs"
 )
 
 // The sharded scheduler: what parallelizes, and what provably cannot.
@@ -103,10 +103,11 @@ const (
 // record.
 type ObsRecord struct {
 	Kind   ObsKind
-	Wait   uint8 // span wait-kind for ObsSpanWait
-	Remote bool  // AddRemote booking (ObsCharge)
+	Wait   uint8    // span wait-kind for ObsSpanWait
+	Remote bool     // AddRemote booking (ObsCharge)
+	Path   obs.Path // charge attribution path (ObsCharge)
 	T      *Thread
-	Path   string
+	Class  string // span class (ObsSpanBegin)
 	Cycles uint64
 	Now    uint64 // thread clock at emission (span begin/end timestamps)
 	seq    uint64 // global emission order, stamped by the scheduler
@@ -114,7 +115,7 @@ type ObsRecord struct {
 
 // chargePartial is a worker's pre-aggregated charge bucket.
 type chargePartial struct {
-	path   string
+	path   obs.Path
 	core   int
 	cycles uint64
 	count  uint64
@@ -122,7 +123,7 @@ type chargePartial struct {
 
 // prepared is a worker's output for one shard-batch of one generation.
 type prepared struct {
-	partials []chargePartial // sorted by (path, core); only when bulkSink is set
+	partials []chargePartial // in first-charge order; only when bulkSink is set
 	ordered  []ObsRecord     // records the merger must apply in seq order
 }
 
@@ -283,7 +284,7 @@ func (s *shardScheduler) readyDepth() int {
 	return n
 }
 
-func (s *shardScheduler) emitCharge(t *Thread, path string, cycles uint64, remote bool) {
+func (s *shardScheduler) emitCharge(t *Thread, path obs.Path, cycles uint64, remote bool) {
 	s.enqueue(ObsRecord{Kind: ObsCharge, Remote: remote, T: t, Path: path, Cycles: cycles})
 }
 
@@ -446,21 +447,11 @@ func (s *shardScheduler) prepare(b []ObsRecord) prepared {
 			p.ordered = append(p.ordered, rec)
 		}
 	}
-	// Deterministic partial order (map iteration order must not leak
-	// into any observable sequence, even a commutative one).
-	//lint:ignore hotalloc worker-side sort: once per generation batch, off the model goroutine
-	sort.Slice(p.partials, func(i, j int) bool {
-		a, b := p.partials[i], p.partials[j]
-		if a.path != b.path {
-			return a.path < b.path
-		}
-		return a.core < b.core
-	})
 	return p
 }
 
 type chargeKey struct {
-	path string
+	path obs.Path
 	core int
 }
 

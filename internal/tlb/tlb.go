@@ -210,13 +210,23 @@ func (t *TLB) FlushAll() {
 	// Maps are lazily cleaned by generation checks; reset the rings when
 	// they grow stale to bound memory.
 	if t.orderSmall.len() > 4*t.capSmall {
-		clear(t.small)
+		t.release(t.small)
 		t.orderSmall.reset()
 	}
 	if t.orderLarge.len() > 4*t.capLarge {
-		clear(t.large)
+		t.release(t.large)
 		t.orderLarge.reset()
 	}
+}
+
+// release empties m, keeping its entries for reuse. Every reused entry
+// is overwritten whole, so the free list's order is never observable.
+func (t *TLB) release(m map[mem.VirtAddr]*Entry) {
+	for _, e := range m {
+		//lint:ignore hotalloc free list: bounded by the TLB's capacity
+		t.free = append(t.free, e)
+	}
+	clear(m)
 }
 
 // Len reports live entries (generation-current).

@@ -131,3 +131,28 @@ func TestInvalidatedEntriesReused(t *testing.T) {
 		t.Fatal("entry older than the capacity survived")
 	}
 }
+
+// TestFlushAllReusesEntries: entries dropped when FlushAll resets the
+// maps are reused by the refills that follow. Invalidations leave stale
+// keys in the FIFO, so every few cycles FlushAll finds it past 4x the
+// capacity and resets.
+func TestFlushAllReusesEntries(t *testing.T) {
+	tb := NewSized(16, 2)
+	end := mem.VirtAddr(16) * mem.PageSize
+	cycle := func() {
+		tb.FlushAll()
+		tb.InvalidateRange(0, end/2)
+		for va := mem.VirtAddr(0); va < end; va += mem.PageSize {
+			tb.Insert(va, pt.MakeEntry(mem.PFN(va/mem.PageSize), mem.PermRead, true, false), false, false)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("flush/refill cycle allocated %v times, want 0", allocs)
+	}
+	if got := tb.Len(); got != 16 {
+		t.Fatalf("TLB holds %d entries after refill, want 16", got)
+	}
+}

@@ -54,7 +54,7 @@ var defaultRoots = []string{
 	"(*daxvm/internal/mm.MM).WPFault",
 	"(*daxvm/internal/cpu.Core).Translate",
 	"(*daxvm/internal/cpu.Set).Shootdown",
-	"(*daxvm/internal/obs.CycleAccount).Charge",
+	"(*daxvm/internal/obs.CycleAccount).Book",
 	"(*daxvm/internal/obs/span.Collector).Observe",
 	"(*daxvm/internal/obs/span.Collector).Wait",
 	// The timeline sampler runs on every wake, hundreds of times per
