@@ -145,12 +145,6 @@ func gitSHA() string {
 // different machine topologies), so the comparator refuses them.
 // Topology overrides extend the pre-NUMA hash input only when
 // non-default, keeping historical single-node hashes stable.
-//
-// The scheduler selection (-sched/-shards) is deliberately NOT hashed:
-// by construction — and by the sched-gate byte-identity check in CI — it
-// can never change an artifact's numbers, and hashing it would make seq
-// and shard runs incomparable, defeating the very comparison the gate
-// performs. Only inputs that may move numbers belong here.
 func configHash(id string, quick bool, nodes int, placement string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|quick=%v", id, quick)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // CycleAccount is the hierarchical cycle-attribution profiler: every cycle
@@ -20,24 +19,25 @@ import (
 // Invariant (asserted by bench tests): Total() equals the sum of
 // Engine.TotalCharged() over every engine wired to the account — the
 // profile cannot silently lose time.
+//
+// An account is single-writer and has no locks: Book and the readers
+// run on the goroutine holding the engine token (the charging thread,
+// or a timeline sampler daemon), or after Run returns. The engine's
+// channel handoff orders those calls, engines sharing an account run
+// one after another, and `go test -race` checks both.
 type CycleAccount struct {
-	mu sync.Mutex
 	// leaves is indexed by Path; nil until the path's first charge.
-	// guarded by mu
 	leaves []*cycleLeaf
 	// order lists the charged paths in first-charge order, so snapshots
 	// cost the account's own leaves, not the process-wide id range.
-	// guarded by mu
 	order []Path
-	total uint64 // guarded by mu
+	total uint64
 	// Per-root totals in first-seen slot order: a root is a path's first
 	// component ("app" for "app.syscall.write"), resolved once when its
 	// first leaf is created, so every charge adds to its root with one
 	// slice add and ReadRoots copies a flat slice.
-	// guarded by mu
 	rootPaths []Path
-	// guarded by mu
-	roots []uint64
+	roots     []uint64
 }
 
 type cycleLeaf struct {
@@ -65,37 +65,15 @@ func (a *CycleAccount) Book(core int, path Path, cycles uint64) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
-	a.bookLocked(core, path, cycles, 1)
-	a.mu.Unlock()
-}
-
-// BookN books a pre-aggregated batch: cycles summed over count charges
-// to the same (core, path). It is the bulk form of Book used by the
-// sharded scheduler's workers (wire via sim.Engine.SetChargeBulkSink);
-// because the account only ever sums, N single charges and one BookN
-// land in the identical state.
-func (a *CycleAccount) BookN(core int, path Path, cycles, count uint64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.bookLocked(core, path, cycles, count)
-	a.mu.Unlock()
-}
-
-// bookLocked adds one (possibly aggregated) charge to path's leaf, its
-// root and the total. Caller holds mu.
-func (a *CycleAccount) bookLocked(core int, path Path, cycles, count uint64) {
 	var l *cycleLeaf
 	if int(path) < len(a.leaves) {
 		l = a.leaves[path]
 	}
 	if l == nil {
-		l = a.newLeafLocked(path)
+		l = a.newLeaf(path)
 	}
 	l.cycles += cycles
-	l.count += count
+	l.count++
 	if core >= len(l.byCore) {
 		//lint:ignore hotalloc first charge on a new core of a leaf only; a run has a handful of cores
 		l.byCore = append(l.byCore, make([]coreCycles, core+1-len(l.byCore))...)
@@ -107,9 +85,8 @@ func (a *CycleAccount) bookLocked(core int, path Path, cycles, count uint64) {
 	a.total += cycles
 }
 
-// newLeafLocked creates path's leaf, resolving (or creating) its root
-// slot. Caller holds mu.
-func (a *CycleAccount) newLeafLocked(path Path) *cycleLeaf {
+// newLeaf creates path's leaf, resolving (or creating) its root slot.
+func (a *CycleAccount) newLeaf(path Path) *cycleLeaf {
 	root := path.Root()
 	slot := slices.Index(a.rootPaths, root) // a run has a handful of roots
 	if slot < 0 {
@@ -136,8 +113,6 @@ func (a *CycleAccount) Total() uint64 {
 	if a == nil {
 		return 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.total
 }
 
@@ -148,8 +123,6 @@ func (a *CycleAccount) ReadRoots(dst []uint64) (total uint64, roots []uint64) {
 	if a == nil {
 		return 0, dst[:0]
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	dst = resize(dst, len(a.roots))
 	copy(dst, a.roots)
 	return a.total, dst
@@ -157,8 +130,6 @@ func (a *CycleAccount) ReadRoots(dst []uint64) (total uint64, roots []uint64) {
 
 // RootName returns the attribution root in slot i.
 func (a *CycleAccount) RootName(i int) string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.rootPaths[i].String()
 }
 
@@ -167,8 +138,6 @@ func (a *CycleAccount) Snapshot() CycleSnapshot {
 	if a == nil {
 		return CycleSnapshot{}
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	s := CycleSnapshot{Total: a.total, Leaves: make(map[string]CycleLeaf, len(a.order))}
 	for _, p := range a.order {
 		l := a.leaves[p]

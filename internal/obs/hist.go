@@ -13,11 +13,12 @@ const histBuckets = 65
 
 // Histogram is a log2-bucket latency histogram: bucket b counts values v
 // with bits.Len64(v) == b, i.e. v in [2^(b-1), 2^b). Observing is three
-// atomic adds — cheap enough for per-walk recording, and race-safe when
-// multiple engines (or a concurrent Snapshot) touch the same histogram.
-// Snapshot is lock-free and therefore only weakly consistent (sum, count
-// and buckets are loaded independently), which is fine for monotonic
-// window deltas.
+// atomic adds — cheap enough for per-walk recording, and they keep a
+// histogram safe to snapshot from another goroutine while it records
+// (TestHistogramConcurrentObserve), so unlike the tracer and the cycle
+// account it carries no single-writer contract. Snapshot is lock-free
+// and therefore only weakly consistent (sum, count and buckets are
+// loaded independently), which is fine for monotonic window deltas.
 type Histogram struct {
 	counts [histBuckets]uint64
 	sum    uint64

@@ -57,7 +57,7 @@ func TestCycleAccountRoots(t *testing.T) {
 	a := NewCycleAccount()
 	a.Book(0, InternPath("app.syscall.write"), 10)
 	a.Book(1, InternPath("fault"), 4)
-	a.BookN(0, InternPath("app.access"), 6, 3)
+	a.Book(0, InternPath("app.access"), 6)
 	a.Book(0, InternPath("fault.minor"), 1)
 	total, roots := a.ReadRoots(nil)
 	if total != 21 || !reflect.DeepEqual(roots, []uint64{16, 5}) {

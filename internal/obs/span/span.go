@@ -37,7 +37,6 @@ package span
 
 import (
 	"strings"
-	"sync"
 
 	"daxvm/internal/obs"
 	"daxvm/internal/sim"
@@ -195,9 +194,13 @@ const (
 // Collector owns the per-thread span stacks and the per-segment
 // aggregates. All entry points are nil-receiver safe so unwired
 // subsystems pay one branch, mirroring the tracer and profiler.
+//
+// A Collector is single-writer and has no locks: every method, readers
+// included, must run on the goroutine holding the engine token of the
+// engine the collector observes, or after that engine's Run returns.
+// The engine's channel handoff orders those calls, the kernel runs its
+// engines one after another, and `go test -race` checks both.
 type Collector struct {
-	mu sync.Mutex
-
 	k   int    // exemplars kept per class
 	seq uint64 // Begin arrival counter
 
@@ -273,25 +276,13 @@ func (c *Collector) Begin(t *sim.Thread, class string) {
 	if c == nil {
 		return
 	}
-	// On a sharded engine the call is deferred: the scheduler replays it
-	// through Apply in emission order, off the model goroutine. The
-	// timestamp must be captured here — the clock moves on immediately.
-	if t.DeferObs(sim.ObsRecord{Kind: sim.ObsSpanBegin, T: t, Class: class, Now: t.Now()}) {
-		return
-	}
-	c.beginAt(t, class, t.Now())
-}
-
-func (c *Collector) beginAt(t *sim.Thread, class string, now uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ts := c.state(t)
 	c.seq++
 	n := c.newNode()
 	n.class = class
 	n.core = t.Core
 	n.seq = c.seq
-	n.start = now
+	n.start = t.Now()
 	//lint:ignore hotalloc span stack: reaches its steady nesting depth after warm-up
 	ts.stack = append(ts.stack, n)
 }
@@ -302,22 +293,13 @@ func (c *Collector) End(t *sim.Thread) {
 	if c == nil {
 		return
 	}
-	if t.DeferObs(sim.ObsRecord{Kind: sim.ObsSpanEnd, T: t, Now: t.Now()}) {
-		return
-	}
-	c.endAt(t, t.Now())
-}
-
-func (c *Collector) endAt(t *sim.Thread, now uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ts := c.state(t)
 	if len(ts.stack) == 0 {
 		panic("span: End without matching Begin")
 	}
 	n := ts.stack[len(ts.stack)-1]
 	ts.stack = ts.stack[:len(ts.stack)-1]
-	n.dur = now - n.start
+	n.dur = t.Now() - n.start
 	c.finish(n, ts)
 }
 
@@ -392,8 +374,6 @@ func (c *Collector) Observe(t *sim.Thread, path obs.Path, cycles uint64, remote 
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if remote {
 		c.remote += cycles
 		return
@@ -418,7 +398,7 @@ func (c *Collector) Observe(t *sim.Thread, path obs.Path, cycles uint64, remote 
 }
 
 // waitKind returns path's cached wait kind, classifying it on first
-// sight. Caller holds mu.
+// sight.
 func (c *Collector) waitKind(path obs.Path) WaitKind {
 	if int(path) >= len(c.waitCls) {
 		n := len(c.waitCls)
@@ -466,15 +446,6 @@ func (c *Collector) Wait(t *sim.Thread, k WaitKind, cycles uint64) {
 	if c == nil || cycles == 0 {
 		return
 	}
-	if t.DeferObs(sim.ObsRecord{Kind: sim.ObsSpanWait, Wait: uint8(k), T: t, Cycles: cycles}) {
-		return
-	}
-	c.waitAt(t, k, cycles)
-}
-
-func (c *Collector) waitAt(t *sim.Thread, k WaitKind, cycles uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.cur.waits[k] += cycles
 	ts := c.state(t)
 	if len(ts.stack) == 0 {
@@ -483,29 +454,12 @@ func (c *Collector) waitAt(t *sim.Thread, k WaitKind, cycles uint64) {
 	ts.stack[len(ts.stack)-1].waits[k] += cycles
 }
 
-// Apply consumes one deferred span record from the sharded scheduler's
-// merger (wire via sim.Engine.SetObsApplier). Records arrive in exact
-// emission order, so the collector's internal sequence numbers, exemplar
-// replacements, and segment totals are byte-identical to the inline path.
-func (c *Collector) Apply(rec sim.ObsRecord) {
-	switch rec.Kind {
-	case sim.ObsSpanBegin:
-		c.beginAt(rec.T, rec.Class, rec.Now)
-	case sim.ObsSpanEnd:
-		c.endAt(rec.T, rec.Now)
-	case sim.ObsSpanWait:
-		c.waitAt(rec.T, WaitKind(rec.Wait), rec.Cycles)
-	}
-}
-
 // StartSegment finalizes the current segment (if it saw any spans) and
 // starts a new one named id, mirroring timeline.StartSegment.
 func (c *Collector) StartSegment(id string) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.cur.empty() {
 		c.done = append(c.done, c.cur)
 	}
@@ -521,8 +475,6 @@ func (c *Collector) ForgetIdle() {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for t, ts := range c.threads {
 		if len(ts.stack) == 0 {
 			delete(c.threads, t)
@@ -536,8 +488,6 @@ func (c *Collector) BookedCycles() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.booked
 }
 
@@ -546,8 +496,6 @@ func (c *Collector) OutsideCycles() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.outside
 }
 
@@ -556,8 +504,6 @@ func (c *Collector) RemoteCycles() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.remote
 }
 
@@ -567,7 +513,5 @@ func (c *Collector) ObservedCycles() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.booked + c.outside + c.remote
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Event types emitted by the simulator. Kept as strings so the trace and
@@ -45,16 +44,18 @@ type Event struct {
 
 // Tracer is a bounded ring of events. When full it overwrites the oldest,
 // keeping the tail of the run and counting what it dropped; an always-on
-// tracer therefore has fixed memory cost. Safe for concurrent emitters
-// (the sim is single-threaded, but -race and multi-engine setups are not).
+// tracer therefore has fixed memory cost.
+//
+// A Tracer is single-writer and has no locks: Emit and the readers run
+// on the goroutine holding the engine token of the simulation that
+// emits, or after its Run returns. The engine's channel handoff orders
+// those calls, engines sharing a tracer run one after another, and
+// `go test -race` checks both.
 type Tracer struct {
-	mu sync.Mutex
-	// guarded by mu
-	buf []Event
-	// guarded by mu
+	buf     []Event
 	next    int
-	wrapped bool   // guarded by mu
-	dropped uint64 // guarded by mu
+	wrapped bool
+	dropped uint64
 
 	// CyclesPerUsec converts virtual cycles to trace microseconds on
 	// export (default 2700, the simulator's 2.7 GHz clock).
@@ -74,7 +75,6 @@ func (tr *Tracer) Emit(typ string, core int, ts, dur uint64, tag string, arg uin
 	if tr == nil {
 		return
 	}
-	tr.mu.Lock()
 	e := Event{TS: ts, Dur: dur, Core: core, Type: typ, Tag: tag, Arg: arg}
 	if len(tr.buf) < cap(tr.buf) {
 		//lint:ignore hotalloc ring fill phase: the append stays within the preallocated cap
@@ -85,7 +85,6 @@ func (tr *Tracer) Emit(typ string, core int, ts, dur uint64, tag string, arg uin
 		tr.wrapped = true
 		tr.dropped++
 	}
-	tr.mu.Unlock()
 }
 
 // Events returns a copy of the retained events in emission order.
@@ -93,8 +92,6 @@ func (tr *Tracer) Events() []Event {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	out := make([]Event, 0, len(tr.buf))
 	if tr.wrapped {
 		out = append(out, tr.buf[tr.next:]...)
@@ -110,8 +107,6 @@ func (tr *Tracer) Len() int {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return len(tr.buf)
 }
 
@@ -120,8 +115,6 @@ func (tr *Tracer) Dropped() uint64 {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return tr.dropped
 }
 

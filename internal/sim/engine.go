@@ -11,11 +11,10 @@
 // quantity in the DaxVM paper's scalability experiments — emerge from the
 // model rather than from a formula, while remaining fully deterministic.
 //
-// The ready queue and the observability emission policy live behind the
-// Scheduler interface (sched.go): New builds the sequential reference
-// scheduler, NewSharded the sharded epoch scheduler that offloads
-// charge-sink and span bookkeeping to host worker goroutines (shard.go)
-// while dispatching the model in exactly the same (wakeAt, seq) order.
+// The observability hooks (charge sink and observer) run inline on the
+// charging thread's goroutine, which holds the token: the engine's
+// channel handoff orders every call, so the hub behind them is
+// single-writer by construction and needs no locks.
 package sim
 
 import (
@@ -28,7 +27,7 @@ import (
 
 // Engine owns the virtual-time scheduler.
 type Engine struct {
-	sched    Scheduler
+	ready    threadHeap
 	seq      uint64
 	live     int // non-daemon threads still running
 	threads  []*Thread
@@ -46,30 +45,15 @@ type Engine struct {
 	// host-side events/sec speed metric. It never feeds back into
 	// simulated behaviour.
 	events uint64
-	// obsSeq stamps every deferred observability record with its global
-	// emission order. Only the sharded scheduler advances it; the model
-	// side is single-threaded, so no atomics are needed.
-	obsSeq uint64
 	// sink, when set, receives every charge with its attribution path
 	// (see Thread.PushAttr) — the hook the cycle profiler attaches to.
 	sink func(core int, path obs.Path, cycles uint64)
-	// bulkSink, when set alongside sink, lets the sharded scheduler
-	// replace per-record sink calls with pre-aggregated (path, core)
-	// partials computed in parallel by the shard workers. The sequential
-	// scheduler ignores it. The aggregate must be addition-commutative
-	// (obs.CycleAccount.BookN is), so the final sink state is identical
-	// to per-record application.
-	bulkSink func(core int, path obs.Path, cycles, count uint64)
 	// observer, when set, additionally receives every charge together
 	// with the charging thread — the hook the span layer attaches to.
 	// remote marks cycles booked onto this thread by another thread
 	// (AddRemote): they belong to the target's timeline but not to any
 	// operation the target itself is executing.
 	observer func(t *Thread, path obs.Path, cycles uint64, remote bool)
-	// applier, when set, receives deferred span records (ObsRecord) in
-	// emission order on sharded engines. Sequential engines never defer,
-	// so Thread.DeferObs reports false and callers take their inline path.
-	applier func(rec ObsRecord)
 	// joins caches label -> path id resolutions so that a steady-state
 	// frame push or labelled charge neither builds nor hashes a string:
 	// joins[0] holds whole names (top-level labels, AddRemote paths),
@@ -90,22 +74,9 @@ type pathJoin struct {
 // stopToken is panicked into parked daemon threads at shutdown.
 type stopToken struct{}
 
-// New creates an empty engine with the sequential reference scheduler.
+// New creates an empty engine.
 func New() *Engine {
-	e := &Engine{done: make(chan struct{})}
-	e.sched = &seqScheduler{e: e}
-	return e
-}
-
-// NewSharded creates an engine whose cores are partitioned into shards
-// (contiguous blocks), each owning its own ready heap and host worker
-// goroutine for observability offload. Model dispatch order — and every
-// artifact byte — is identical to New's sequential scheduler; see
-// shard.go for what does and does not parallelize, and why.
-func NewSharded(shards, cores int) *Engine {
-	e := &Engine{done: make(chan struct{})}
-	e.sched = newShardScheduler(e, shards, cores)
-	return e
+	return &Engine{done: make(chan struct{})}
 }
 
 // Thread is one simulated hardware thread.
@@ -121,12 +92,7 @@ type Thread struct {
 	state   threadState
 	daemon  bool
 	started bool
-	// obsReader marks sampler daemons that read observability state
-	// (cycle-account snapshots): the scheduler forces any deferred
-	// emissions to drain before dispatching one, so a sampled snapshot is
-	// identical to the sequential scheduler's at the same virtual time.
-	obsReader bool
-	fn        func(*Thread)
+	fn      func(*Thread)
 
 	// attr is the attribution-frame stack: each element is the id of
 	// one open frame's full dotted path ("app.syscall.write", ...).
@@ -187,10 +153,8 @@ func (e *Engine) GoDaemon(name string, core int, start uint64, fn func(*Thread))
 // progress). The sampler charges no cycles and must not touch simulated
 // shared state, so its presence leaves every other thread's timeline
 // bit-identical; it is torn down with the other daemons at shutdown.
-// Samplers are observability readers: on a sharded engine, deferred
-// charge/span records drain before each of their dispatches.
 func (e *Engine) GoSampler(name string, core int, next func(now uint64) uint64, fn func(now uint64)) *Thread {
-	t := e.GoDaemon(name, core, 0, func(t *Thread) {
+	return e.GoDaemon(name, core, 0, func(t *Thread) {
 		for {
 			at := next(t.Now())
 			if at <= t.Now() {
@@ -200,8 +164,6 @@ func (e *Engine) GoSampler(name string, core int, next func(now uint64) uint64, 
 			fn(t.Now())
 		}
 	})
-	t.obsReader = true
-	return t
 }
 
 // Run executes the simulation until every non-daemon thread has exited.
@@ -210,17 +172,13 @@ func (e *Engine) Run() uint64 {
 	if e.live == 0 {
 		return 0
 	}
-	first := e.pop()
+	first := e.ready.pop()
 	if first == nil {
 		panic("sim: no runnable thread")
 	}
 	first.state = stateRunning
 	first.resumeOrStart()
 	<-e.done
-	// Apply every deferred observability record and join the host
-	// workers before the caller reads sinks/observers or reuses them on
-	// another engine.
-	e.sched.stop()
 	if e.panicVal != nil {
 		panic(e.panicVal)
 	}
@@ -234,7 +192,11 @@ func (t *Thread) main() {
 	defer func() {
 		r := recover()
 		if _, ok := r.(stopToken); ok {
-			return // engine shutdown
+			// Engine shutdown: hand the token back, so everything
+			// this thread's deferred calls did happens before Run
+			// returns.
+			t.resume <- struct{}{}
+			return
 		}
 		if r == nil && completed {
 			return
@@ -274,8 +236,10 @@ func (t *Thread) exit() {
 
 // shutdown tears down parked daemon goroutines and signals Run. It runs on
 // the goroutine of the last exiting non-daemon thread. Parked threads are
-// resumed; they observe stopping and unwind via a stopToken panic that
-// their main() recovers, so no goroutines leak across engine instances.
+// resumed one at a time; each observes stopping, unwinds via a stopToken
+// panic that its main() recovers, and hands the token back, so no
+// goroutines leak across engine instances and no unwinding thread runs
+// concurrently with another or with the caller of Run.
 func (e *Engine) shutdown() {
 	if e.stopping {
 		return
@@ -286,6 +250,7 @@ func (e *Engine) shutdown() {
 			continue
 		}
 		t.resume <- struct{}{}
+		<-t.resume
 	}
 	close(e.done)
 }
@@ -295,18 +260,8 @@ func (t *Thread) Now() uint64 { return t.clock }
 
 // SetChargeSink routes every subsequent charge on any thread of this
 // engine (with its attribution path and core) to fn. Pass nil to detach.
+// fn runs on the charging thread's goroutine, one call at a time.
 func (e *Engine) SetChargeSink(fn func(core int, path obs.Path, cycles uint64)) { e.sink = fn }
-
-// SetChargeBulkSink registers an aggregate form of the charge sink: on a
-// sharded engine, shard workers pre-aggregate deferred charges into
-// (path, core) partials in parallel and fn receives each partial's
-// summed cycles and call count instead of one sink call per charge. fn
-// must be addition-commutative with the plain sink (CycleAccount.BookN
-// is), so the final state is identical either way. Sequential engines
-// ignore it. Set it together with SetChargeSink.
-func (e *Engine) SetChargeBulkSink(fn func(core int, path obs.Path, cycles, count uint64)) {
-	e.bulkSink = fn
-}
 
 // SetChargeObserver routes every subsequent charge, together with the
 // thread it books onto, to fn (nil detaches). The span layer attaches
@@ -316,16 +271,6 @@ func (e *Engine) SetChargeBulkSink(fn func(core int, path obs.Path, cycles, coun
 func (e *Engine) SetChargeObserver(fn func(t *Thread, path obs.Path, cycles uint64, remote bool)) {
 	e.observer = fn
 }
-
-// SetObsApplier registers the consumer of deferred span records on a
-// sharded engine (span.Collector.Apply). Records reach fn in exact
-// emission order, merged across shards by their sequence stamps. On a
-// sequential engine fn is never called: Thread.DeferObs reports false
-// and the span layer takes its inline path. A span layer that attaches
-// a charge observer to a sharded engine must register its applier too:
-// observer calls are deferred, so span-stack updates applied inline
-// would otherwise interleave with them out of emission order.
-func (e *Engine) SetObsApplier(fn func(rec ObsRecord)) { e.applier = fn }
 
 // TotalCharged reports the cycles booked through Charge/ChargeAs/AddRemote
 // across all threads so far. Because dispatch clamps idle threads forward
@@ -341,7 +286,7 @@ func (e *Engine) ReadyDepth() int {
 	if e.stopping {
 		return 0
 	}
-	return e.sched.readyDepth()
+	return e.ready.len()
 }
 
 // Events reports the deterministic engine-event count (scheduling pushes
@@ -406,6 +351,16 @@ func (t *Thread) attrPath() obs.Path {
 // AttrPath returns the innermost frame's full dotted path.
 func (t *Thread) AttrPath() string { return t.attrPath().String() }
 
+// emit delivers one charge to the sink and the observer.
+func (e *Engine) emit(t *Thread, path obs.Path, cycles uint64, remote bool) {
+	if e.sink != nil {
+		e.sink(t.Core, path, cycles)
+	}
+	if e.observer != nil {
+		e.observer(t, path, cycles, remote)
+	}
+}
+
 // Charge advances the thread's clock by c cycles of local work, booked
 // against the current attribution frame.
 func (t *Thread) Charge(c uint64) {
@@ -413,7 +368,7 @@ func (t *Thread) Charge(c uint64) {
 	t.e.charged += c
 	t.e.events++
 	if t.e.sink != nil || t.e.observer != nil {
-		t.e.sched.emitCharge(t, t.attrPath(), c, false)
+		t.e.emit(t, t.attrPath(), c, false)
 	}
 }
 
@@ -425,7 +380,7 @@ func (t *Thread) ChargeAs(label string, c uint64) {
 	t.e.charged += c
 	t.e.events++
 	if t.e.sink != nil || t.e.observer != nil {
-		t.e.sched.emitCharge(t, t.child(label), c, false)
+		t.e.emit(t, t.child(label), c, false)
 	}
 }
 
@@ -437,17 +392,8 @@ func (t *Thread) AddRemote(path string, c uint64) {
 	t.e.charged += c
 	t.e.events++
 	if t.e.sink != nil || t.e.observer != nil {
-		t.e.sched.emitCharge(t, t.e.resolve(0, path), c, true)
+		t.e.emit(t, t.e.resolve(0, path), c, true)
 	}
-}
-
-// DeferObs offers an observability record (a span Begin/End/Wait) to the
-// scheduler for deferred in-order application. It reports false on a
-// sequential engine — or when no applier is registered — in which case
-// the caller must apply the record inline itself. Records must capture
-// everything order-sensitive (notably t.Now()) at emission time.
-func (t *Thread) DeferObs(rec ObsRecord) bool {
-	return t.e.sched.deferRecord(rec)
 }
 
 // Yield is a synchronization point: the thread re-enters the ready queue at
@@ -501,7 +447,7 @@ func (e *Engine) Wake(t *Thread, at uint64) {
 // true the calling thread parks until re-dispatched; otherwise the caller
 // is exiting.
 func (e *Engine) dispatchFrom(t *Thread, wait bool) {
-	next := e.pop()
+	next := e.ready.pop()
 	if next == nil {
 		if wait || e.live > 0 {
 			//lint:ignore hotalloc fatal path: the concat only runs when panicking
@@ -510,12 +456,6 @@ func (e *Engine) dispatchFrom(t *Thread, wait bool) {
 		// Exiting last thread with nothing runnable and live==0 was
 		// handled in exit(); reaching here is a bug.
 		panic("sim: scheduler underflow")
-	}
-	if next.obsReader {
-		// An observability reader is about to run: force every deferred
-		// charge/span record to land first so its snapshot reads are
-		// byte-identical to the sequential scheduler's.
-		e.sched.drain()
 	}
 	if next == t {
 		// Fast path: we are still the minimum-clock thread.
@@ -560,8 +500,8 @@ func (t *Thread) resumeOrStart() {
 }
 
 // dump formats the scheduler state for deadlock diagnostics: per thread,
-// its state, its innermost attribution path (what it was doing when it
-// parked) and — on a sharded engine — the shard it dispatches on.
+// its state and its innermost attribution path (what it was doing when it
+// parked).
 func (e *Engine) dump() string {
 	var b strings.Builder
 	ts := append([]*Thread(nil), e.threads...)
@@ -578,11 +518,7 @@ func (e *Engine) dump() string {
 		case stateExited:
 			st = "exited"
 		}
-		fmt.Fprintf(&b, "  %-24s core=%-3d", t.Name, t.Core)
-		if sh := e.sched.shardOf(t.Core); sh >= 0 {
-			fmt.Fprintf(&b, " shard=%-2d", sh)
-		}
-		fmt.Fprintf(&b, " clock=%-12d attr=%-28s %s\n", t.clock, t.AttrPath(), st)
+		fmt.Fprintf(&b, "  %-24s core=%-3d clock=%-12d attr=%-28s %s\n", t.Name, t.Core, t.clock, t.AttrPath(), st)
 	}
 	return b.String()
 }
@@ -605,9 +541,5 @@ func (e *Engine) push(t *Thread) {
 	e.events++
 	t.seq = e.seq
 	t.state = stateReady
-	e.sched.push(t)
-}
-
-func (e *Engine) pop() *Thread {
-	return e.sched.pop()
+	e.ready.push(t)
 }
