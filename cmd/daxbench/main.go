@@ -264,9 +264,10 @@ type runner struct {
 
 	// Per-run cumulative state: the obs hub accumulates across
 	// experiments, so each experiment's share is a delta.
-	prevCycles obs.CycleSnapshot
-	prevReg    obs.Snapshot
-	prevEvents uint64
+	prevCycles   obs.CycleSnapshot
+	prevReg      obs.Snapshot
+	prevEvents   uint64
+	prevSwitches uint64
 }
 
 func (r *runner) runOne(e bench.Experiment) {
@@ -279,13 +280,15 @@ func (r *runner) runOne(e bench.Experiment) {
 	wall := time.Since(start)
 	events := r.opts.Obs.EnginesEvents() - r.prevEvents
 	r.prevEvents += events
+	switches := r.opts.Obs.EnginesSwitches() - r.prevSwitches
+	r.prevSwitches += switches
 	eps := 0.0
 	if s := wall.Seconds(); s > 0 {
 		eps = float64(events) / s
 	}
 
 	bench.Render(os.Stdout, res)
-	fmt.Printf("host: %.2fs wall, %d engine events, %.3g events/sec\n\n", wall.Seconds(), events, eps)
+	fmt.Printf("host: %.2fs wall, %d engine events, %d dispatch switches, %.3g events/sec\n\n", wall.Seconds(), events, switches, eps)
 	fmt.Fprintf(os.Stderr, "[%s finished in %v]\n", e.ID, wall.Round(time.Millisecond))
 
 	o := r.opts.Obs

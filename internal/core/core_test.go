@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"daxvm/internal/cpu"
@@ -561,6 +562,35 @@ func TestPersistentTableCrashRecovery(t *testing.T) {
 		}
 	})
 	e2.Run()
+}
+
+// TestDescriptorOverflowMessage: a persistent table with more chunks than
+// one descriptor block holds panics with its chunk count and the real
+// limit (510 chunks, 1020 MiB); 510 chunks still fit.
+func TestDescriptorOverflowMessage(t *testing.T) {
+	ev := newEnv(64, 1, Config{})
+	write := func(th *sim.Thread, chunks int) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		ft := &FileTable{Persistent: true, chunks: make([]chunk, chunks), d: ev.d}
+		ft.writeDescriptor(th)
+		return ""
+	}
+	var fits, overflows string
+	ev.run(func(th *sim.Thread) {
+		fits = write(th, 510)
+		overflows = write(th, 512)
+	})
+	if fits != "" {
+		t.Fatalf("510 chunks: unexpected panic %q", fits)
+	}
+	want := "daxvm: descriptor overflow: file has 512 chunks of 2 MiB (1024 MiB); a one-block descriptor holds at most 510 (1020 MiB)"
+	if overflows != want {
+		t.Fatalf("512 chunks: panic %q, want %q", overflows, want)
+	}
 }
 
 func TestMonitorMigratesHotPMemTables(t *testing.T) {

@@ -300,6 +300,9 @@ func (ft *FileTable) Destroy(t *sim.Thread) {
 const (
 	descMagic   = uint64(0xDA4F17AB1E000000)
 	descHugeBit = uint64(1) << 62
+	// descMaxChunks is how many chunk words fit after the two header
+	// words: 510 chunks, a file of up to 1020 MiB.
+	descMaxChunks = mem.PageSize/8 - 2
 )
 
 func (ft *FileTable) writeDescriptor(t *sim.Thread) {
@@ -311,8 +314,9 @@ func (ft *FileTable) writeDescriptor(t *sim.Thread) {
 		ft.descBlock = runs[0].Start
 		ft.d.Stats.PMemTableBytes += mem.PageSize
 	}
-	if len(ft.chunks) > mem.PageSize/8-2 {
-		panic("daxvm: descriptor overflow (file > 1 TiB?)")
+	if n := len(ft.chunks); n > descMaxChunks {
+		panic(fmt.Sprintf("daxvm: descriptor overflow: file has %d chunks of 2 MiB (%d MiB); a one-block descriptor holds at most %d (%d MiB)",
+			n, n*mem.HugeSize>>20, descMaxChunks, descMaxChunks*mem.HugeSize>>20))
 	}
 	buf := make([]byte, 8*(2+len(ft.chunks)))
 	putLE(buf[0:], descMagic|uint64(ft.Ino)&0xFFFFFF)

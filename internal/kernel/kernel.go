@@ -276,7 +276,7 @@ func (k *Kernel) attachEngine(e *sim.Engine) {
 // reference to the kernel. A timeline flush brackets the run so the tail
 // interval (and the run's span mark) lands before the next run starts.
 func (k *Kernel) runEngine(label string, e *sim.Engine) uint64 {
-	fold := k.Obs.AddEngine(e.TotalCharged, e.Events)
+	fold := k.Obs.AddEngine(e)
 	end := e.Run()
 	fold()
 	k.Cfg.Spans.ForgetIdle()

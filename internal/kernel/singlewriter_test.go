@@ -14,8 +14,8 @@ import (
 
 // TestObsSingleWriter exercises the observability hub's single-writer
 // contract: the cycle account, span collector and tracer have no locks,
-// because every write to them runs on the goroutine holding the engine
-// token and every read happens there or after Run. A 4-core boot with
+// because every write to them runs inside the engine's running thread
+// and every read happens there or after Run. A 4-core boot with
 // all of them attached (plus the timeline sampler, which reads the
 // account and writes the tracer from its own daemon) runs 4 threads of
 // syscalls and mapped accesses; the test then reads everything back.

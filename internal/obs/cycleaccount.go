@@ -21,10 +21,10 @@ import (
 // profile cannot silently lose time.
 //
 // An account is single-writer and has no locks: Book and the readers
-// run on the goroutine holding the engine token (the charging thread,
-// or a timeline sampler daemon), or after Run returns. The engine's
-// channel handoff orders those calls, engines sharing an account run
-// one after another, and `go test -race` checks both.
+// run inside the engine's running thread (the charging thread, or a
+// timeline sampler daemon), or after Run returns. The engine's coroutine
+// switches order those calls, engines sharing an account run one after
+// another, and `go test -race` checks both.
 type CycleAccount struct {
 	// leaves is indexed by Path; nil until the path's first charge.
 	leaves []*cycleLeaf

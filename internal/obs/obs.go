@@ -27,17 +27,40 @@ type Obs struct {
 	Trace  *Tracer
 	Cycles *CycleAccount
 
-	mu           sync.Mutex
-	live         []*engineReader // engines registered for a run in progress
-	foldedTotal  uint64          // cycles of engine runs that have ended
-	foldedEvents uint64          // events of engine runs that have ended
+	mu     sync.Mutex
+	live   []*engineReader // engines registered for a run in progress
+	folded engineCounts    // growth of engine runs that have ended
 }
 
-// engineReader reads one running engine's totals relative to their values
-// at registration.
+// Engine is the read side of a running simulation engine: sim.Engine,
+// which imports obs and so cannot be named here.
+type Engine interface {
+	TotalCharged() uint64
+	Events() uint64
+	Switches() uint64
+}
+
+// engineCounts is one reading of an Engine's counters.
+type engineCounts struct{ total, events, switches uint64 }
+
+func readEngine(e Engine) engineCounts {
+	return engineCounts{e.TotalCharged(), e.Events(), e.Switches()}
+}
+
+// plus returns c + (now - base), the growth of one engine since its
+// registration added to c.
+func (c engineCounts) plus(now, base engineCounts) engineCounts {
+	return engineCounts{
+		total:    c.total + now.total - base.total,
+		events:   c.events + now.events - base.events,
+		switches: c.switches + now.switches - base.switches,
+	}
+}
+
+// engineReader is one running engine and its counters at registration.
 type engineReader struct {
-	total, events   func() uint64
-	total0, events0 uint64
+	e    Engine
+	base engineCounts
 }
 
 // New creates an observability hub with a trace ring of traceCap events
@@ -49,28 +72,25 @@ func New(traceCap int) *Obs {
 	return &Obs{Reg: NewRegistry(), Trace: NewTracer(traceCap), Cycles: NewCycleAccount()}
 }
 
-// AddEngine registers one engine's running totals for the duration of a
-// run: total reads its charged cycles and events its event count (see
-// sim.Engine.TotalCharged and Events). Every engine whose charges feed
-// Cycles must be registered while it runs (the kernel does this around
-// each run), so EnginesTotal is the reconciliation target for
-// CycleAccount.Total. The returned fold, called when the run ends, adds
-// the engine's growth since registration to plain counters and drops the
-// readers, so the hub does not keep finished engines (and the kernels
-// behind them) reachable. Kept as func values to stay dependency-free.
-func (o *Obs) AddEngine(total, events func() uint64) (fold func()) {
+// AddEngine registers one engine for the duration of a run. Every engine
+// whose charges feed Cycles must be registered while it runs (the kernel
+// does this around each run), so EnginesTotal is the reconciliation
+// target for CycleAccount.Total. The returned fold, called when the run
+// ends, adds the engine's growth since registration to plain counters
+// and drops the reader, so the hub does not keep finished engines (and
+// the kernels behind them) reachable.
+func (o *Obs) AddEngine(e Engine) (fold func()) {
 	if o == nil {
 		return func() {}
 	}
-	r := &engineReader{total: total, events: events, total0: total(), events0: events()}
+	r := &engineReader{e: e, base: readEngine(e)}
 	o.mu.Lock()
 	o.live = append(o.live, r)
 	o.mu.Unlock()
 	return func() {
 		o.mu.Lock()
 		defer o.mu.Unlock()
-		o.foldedTotal += r.total() - r.total0
-		o.foldedEvents += r.events() - r.events0
+		o.folded = o.folded.plus(readEngine(r.e), r.base)
 		for i, l := range o.live {
 			if l == r {
 				o.live = append(o.live[:i], o.live[i+1:]...)
@@ -80,33 +100,27 @@ func (o *Obs) AddEngine(total, events func() uint64) (fold func()) {
 	}
 }
 
-// EnginesTotal sums the cycles charged by every registered engine, running
-// or folded.
-func (o *Obs) EnginesTotal() uint64 {
+// engines sums the growth of every registered engine, running or folded.
+func (o *Obs) engines() engineCounts {
 	if o == nil {
-		return 0
+		return engineCounts{}
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	s := o.foldedTotal
+	s := o.folded
 	for _, r := range o.live {
-		s += r.total() - r.total0
+		s = s.plus(readEngine(r.e), r.base)
 	}
 	return s
 }
 
-// EnginesEvents sums the event counts of every registered engine, running
-// or folded: the deterministic numerator of the host-side events/sec
-// speed metric.
-func (o *Obs) EnginesEvents() uint64 {
-	if o == nil {
-		return 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	s := o.foldedEvents
-	for _, r := range o.live {
-		s += r.events() - r.events0
-	}
-	return s
-}
+// EnginesTotal sums the cycles charged by every registered engine.
+func (o *Obs) EnginesTotal() uint64 { return o.engines().total }
+
+// EnginesEvents sums the event counts of every registered engine: the
+// deterministic numerator of the host-side events/sec speed metric.
+func (o *Obs) EnginesEvents() uint64 { return o.engines().events }
+
+// EnginesSwitches sums the dispatch switches of every registered engine
+// (see sim.Engine.Switches): host-only, printed beside the events.
+func (o *Obs) EnginesSwitches() uint64 { return o.engines().switches }

@@ -25,6 +25,47 @@ func TestRegistrySnapshotDelta(t *testing.T) {
 	}
 }
 
+// fakeEngine is an Engine whose counters a test sets directly.
+type fakeEngine struct{ total, events, switches uint64 }
+
+func (f *fakeEngine) TotalCharged() uint64 { return f.total }
+func (f *fakeEngine) Events() uint64       { return f.events }
+func (f *fakeEngine) Switches() uint64     { return f.switches }
+
+// TestEnginesSumGrowth: the hub sums each engine's growth since it was
+// registered, over running engines and folded ones alike, and a folded
+// engine's later growth no longer counts.
+func TestEnginesSumGrowth(t *testing.T) {
+	o := New(0)
+	a := &fakeEngine{total: 100, events: 10, switches: 1}
+	foldA := o.AddEngine(a)
+	a.total, a.events, a.switches = 150, 17, 4
+	b := &fakeEngine{}
+	foldB := o.AddEngine(b)
+	b.total, b.events, b.switches = 5, 2, 1
+	check := func(when string, total, events, switches uint64) {
+		t.Helper()
+		if o.EnginesTotal() != total || o.EnginesEvents() != events || o.EnginesSwitches() != switches {
+			t.Fatalf("%s: total/events/switches = %d/%d/%d, want %d/%d/%d", when,
+				o.EnginesTotal(), o.EnginesEvents(), o.EnginesSwitches(), total, events, switches)
+		}
+	}
+	check("running", 55, 9, 4)
+	foldA()
+	a.total, a.events, a.switches = 1000, 1000, 1000
+	check("a folded", 55, 9, 4)
+	foldB()
+	check("both folded", 55, 9, 4)
+	if len(o.live) != 0 {
+		t.Fatalf("%d engines still referenced after fold", len(o.live))
+	}
+	var nilHub *Obs
+	nilHub.AddEngine(a)()
+	if nilHub.EnginesSwitches() != 0 {
+		t.Fatal("nil hub reports switches")
+	}
+}
+
 func TestRegistryGaugeClamp(t *testing.T) {
 	r := NewRegistry()
 	v := uint64(100)

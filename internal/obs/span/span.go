@@ -196,10 +196,10 @@ const (
 // subsystems pay one branch, mirroring the tracer and profiler.
 //
 // A Collector is single-writer and has no locks: every method, readers
-// included, must run on the goroutine holding the engine token of the
-// engine the collector observes, or after that engine's Run returns.
-// The engine's channel handoff orders those calls, the kernel runs its
-// engines one after another, and `go test -race` checks both.
+// included, must run inside the running thread of the engine the
+// collector observes, or after that engine's Run returns. The engine's
+// coroutine switches order those calls, the kernel runs its engines one
+// after another, and `go test -race` checks both.
 type Collector struct {
 	k   int    // exemplars kept per class
 	seq uint64 // Begin arrival counter

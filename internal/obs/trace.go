@@ -47,10 +47,10 @@ type Event struct {
 // tracer therefore has fixed memory cost.
 //
 // A Tracer is single-writer and has no locks: Emit and the readers run
-// on the goroutine holding the engine token of the simulation that
-// emits, or after its Run returns. The engine's channel handoff orders
-// those calls, engines sharing a tracer run one after another, and
-// `go test -race` checks both.
+// inside the running thread of the simulation that emits, or after its
+// Run returns. The engine's coroutine switches order those calls,
+// engines sharing a tracer run one after another, and `go test -race`
+// checks both.
 type Tracer struct {
 	buf     []Event
 	next    int

@@ -1,24 +1,32 @@
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event simulation engine for
 // virtual-time multicore execution.
 //
-// Every simulated hardware thread is a goroutine, but exactly one runs at a
-// time: threads cooperatively hand a token to the runnable thread with the
-// smallest virtual clock. Pure-local work just advances the local clock
-// (Charge); only operations that touch shared state (locks, IPIs, wakeups)
-// are synchronization points. Because the scheduler always resumes the
-// minimum-clock runnable thread, shared-state events are processed in
-// virtual-time order, which makes lock-contention behaviour — the central
-// quantity in the DaxVM paper's scalability experiments — emerge from the
-// model rather than from a formula, while remaining fully deterministic.
+// Every simulated hardware thread is a coroutine (iter.Pull) driven by
+// Engine.Run: the driver resumes the runnable thread with the smallest
+// virtual clock, and that thread runs until it switches back at a
+// synchronization point, so exactly one runs at a time. Pure-local work
+// just advances the local clock (Charge); only operations that touch
+// shared state (locks, IPIs, wakeups) are synchronization points.
+// Because the scheduler always resumes the minimum-clock runnable thread,
+// shared-state events are processed in virtual-time order, which makes
+// lock-contention behaviour — the central quantity in the DaxVM paper's
+// scalability experiments — emerge from the model rather than from a
+// formula, while remaining fully deterministic.
 //
 // The observability hooks (charge sink and observer) run inline on the
-// charging thread's goroutine, which holds the token: the engine's
-// channel handoff orders every call, so the hub behind them is
-// single-writer by construction and needs no locks.
+// charging thread's coroutine: every coroutine switch is a happens-before
+// edge, so the hub behind them is single-writer by construction and needs
+// no locks.
+//
+// The go1.23 constraint is for iter.Pull; it lets go.mod keep declaring
+// an older language version.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -31,10 +39,13 @@ type Engine struct {
 	seq      uint64
 	live     int // non-daemon threads still running
 	threads  []*Thread
-	done     chan struct{}
 	stopping bool
 	maxClock uint64
-	panicVal any
+	// switches counts the driver's dispatches, each a coroutine switch
+	// into a thread other than the one that last ran (fast-path
+	// continuations in dispatchFrom are not switches). Host-only, like
+	// events.
+	switches uint64
 
 	// charged accumulates every cycle booked through Charge/ChargeAs/
 	// AddRemote on any thread. Idle and lock-wait time (wakeAt clamping in
@@ -71,28 +82,33 @@ type pathJoin struct {
 	path  obs.Path
 }
 
-// stopToken is panicked into parked daemon threads at shutdown.
+// stopToken is panicked into parked threads at shutdown; the thread's
+// body recovers it.
 type stopToken struct{}
 
 // New creates an empty engine.
-func New() *Engine {
-	return &Engine{done: make(chan struct{})}
-}
+func New() *Engine { return &Engine{} }
 
 // Thread is one simulated hardware thread.
 type Thread struct {
-	e       *Engine
-	Name    string
-	Core    int
-	clock   uint64
-	wakeAt  uint64
-	seq     uint64
-	index   int // heap index, -1 when not queued
-	resume  chan struct{}
-	state   threadState
-	daemon  bool
-	started bool
-	fn      func(*Thread)
+	e      *Engine
+	Name   string
+	Core   int
+	clock  uint64
+	wakeAt uint64
+	seq    uint64
+	index  int // heap index, -1 when not queued
+	state  threadState
+	daemon bool
+	fn     func(*Thread)
+
+	// next resumes the thread's coroutine until it switches back to the
+	// driver (ok is false once fn has returned), stop unwinds it, and
+	// yield is the coroutine's switch back. next is nil until the first
+	// dispatch starts the coroutine.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// attr is the attribution-frame stack: each element is the id of
 	// one open frame's full dotted path ("app.syscall.write", ...).
@@ -128,7 +144,6 @@ func (e *Engine) Go(name string, core int, start uint64, fn func(*Thread)) *Thre
 		Core:   core,
 		clock:  start,
 		wakeAt: start,
-		resume: make(chan struct{}),
 		index:  -1,
 		fn:     fn,
 	}
@@ -167,55 +182,48 @@ func (e *Engine) GoSampler(name string, core int, next func(now uint64) uint64, 
 }
 
 // Run executes the simulation until every non-daemon thread has exited.
-// It returns the largest virtual clock reached by any thread.
+// It returns the largest virtual clock reached by any thread. Run is the
+// driver: it pops the minimum-(wakeAt, seq) thread and resumes its
+// coroutine until the thread yields, blocks, sleeps or exits. A thread's
+// panic, and its runtime.Goexit, propagate to Run's caller after every
+// other thread has been unwound.
 func (e *Engine) Run() uint64 {
 	if e.live == 0 {
 		return 0
 	}
-	first := e.ready.pop()
-	if first == nil {
-		panic("sim: no runnable thread")
-	}
-	first.state = stateRunning
-	first.resumeOrStart()
-	<-e.done
-	if e.panicVal != nil {
-		panic(e.panicVal)
+	defer e.shutdown()
+	for e.live > 0 {
+		t := e.ready.pop()
+		if t == nil {
+			panic("sim: deadlock\n" + e.dump())
+		}
+		t.state = stateRunning
+		if t.clock < t.wakeAt {
+			t.clock = t.wakeAt
+		}
+		if t.next == nil {
+			t.next, t.stop = iter.Pull(t.body)
+		}
+		e.switches++
+		if _, ok := t.next(); !ok {
+			t.exit()
+		}
 	}
 	return e.maxClock
 }
 
-// main is the goroutine body wrapping a thread function.
-func (t *Thread) main() {
-	<-t.resume // wait for first dispatch
-	completed := false
+// body is the coroutine wrapping a thread function. It swallows only the
+// shutdown sentinel; any other panic leaves through next to Run's caller.
+func (t *Thread) body(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
-		r := recover()
-		if _, ok := r.(stopToken); ok {
-			// Engine shutdown: hand the token back, so everything
-			// this thread's deferred calls did happens before Run
-			// returns.
-			t.resume <- struct{}{}
-			return
+		if r := recover(); r != nil {
+			if _, ok := r.(stopToken); !ok {
+				panic(r)
+			}
 		}
-		if r == nil && completed {
-			return
-		}
-		if r == nil {
-			// The goroutine is unwinding via runtime.Goexit (e.g. a
-			// t.Fatalf inside a thread function). Surface it instead of
-			// hanging Run forever.
-			r = "sim: thread " + t.Name + " exited abnormally (runtime.Goexit — t.Fatalf inside a sim thread?)"
-		}
-		// Propagate the failure to Run() and unwind the whole
-		// simulation so tests can observe it.
-		t.e.panicVal = r
-		t.state = stateExited
-		t.e.shutdown()
 	}()
 	t.fn(t)
-	completed = true
-	t.exit()
 }
 
 func (t *Thread) exit() {
@@ -227,32 +235,21 @@ func (t *Thread) exit() {
 	if !t.daemon {
 		e.live--
 	}
-	if e.live == 0 {
-		e.shutdown()
-		return
-	}
-	e.dispatchFrom(t, false)
 }
 
-// shutdown tears down parked daemon goroutines and signals Run. It runs on
-// the goroutine of the last exiting non-daemon thread. Parked threads are
-// resumed one at a time; each observes stopping, unwinds via a stopToken
-// panic that its main() recovers, and hands the token back, so no
-// goroutines leak across engine instances and no unwinding thread runs
-// concurrently with another or with the caller of Run.
+// shutdown unwinds every started thread that has not exited (parked
+// daemons, or every thread after a panic or deadlock), one at a time in
+// registration order: stop resumes the coroutine with a failed yield,
+// which panics a stopToken through the thread's deferred calls. So each
+// thread's deferred calls finish before Run returns, no coroutine leaks
+// across engine instances, and none runs concurrently with the caller.
 func (e *Engine) shutdown() {
-	if e.stopping {
-		return
-	}
 	e.stopping = true
 	for _, t := range e.threads {
-		if t.state == stateExited || !t.started || t.state == stateRunning {
-			continue
+		if t.stop != nil && t.state != stateExited {
+			t.stop()
 		}
-		t.resume <- struct{}{}
-		<-t.resume
 	}
-	close(e.done)
 }
 
 // Now returns the thread's virtual clock in cycles.
@@ -260,7 +257,7 @@ func (t *Thread) Now() uint64 { return t.clock }
 
 // SetChargeSink routes every subsequent charge on any thread of this
 // engine (with its attribution path and core) to fn. Pass nil to detach.
-// fn runs on the charging thread's goroutine, one call at a time.
+// fn runs inside the charging thread, one call at a time.
 func (e *Engine) SetChargeSink(fn func(core int, path obs.Path, cycles uint64)) { e.sink = fn }
 
 // SetChargeObserver routes every subsequent charge, together with the
@@ -288,6 +285,12 @@ func (e *Engine) ReadyDepth() int {
 	}
 	return e.ready.len()
 }
+
+// Switches reports how many times the driver has resumed a thread other
+// than the one that last ran — the host's coroutine switches, as opposed
+// to Events, which also counts charges and fast-path continuations.
+// Host-only: it never feeds back into simulated behaviour.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // Events reports the deterministic engine-event count (scheduling pushes
 // plus charges) accumulated so far. Dividing it by host wall-clock seconds
@@ -404,7 +407,7 @@ func (t *Thread) Yield() {
 	e := t.e
 	t.wakeAt = t.clock
 	e.push(t)
-	e.dispatchFrom(t, true)
+	e.dispatchFrom(t)
 }
 
 // SleepUntil parks the thread until virtual time tm.
@@ -414,7 +417,7 @@ func (t *Thread) SleepUntil(tm uint64) {
 	}
 	t.wakeAt = tm
 	t.e.push(t)
-	t.e.dispatchFrom(t, true)
+	t.e.dispatchFrom(t)
 }
 
 // Sleep parks the thread for d cycles.
@@ -425,7 +428,7 @@ func (t *Thread) Sleep(d uint64) { t.SleepUntil(t.clock + d) }
 func (t *Thread) Block(tag string) {
 	t.blockedOn = tag
 	t.state = stateBlocked
-	t.e.dispatchFrom(t, true)
+	t.park()
 	t.blockedOn = ""
 }
 
@@ -443,60 +446,28 @@ func (e *Engine) Wake(t *Thread, at uint64) {
 	e.push(t)
 }
 
-// dispatchFrom hands the token to the next runnable thread. If wait is
-// true the calling thread parks until re-dispatched; otherwise the caller
-// is exiting.
-func (e *Engine) dispatchFrom(t *Thread, wait bool) {
-	next := e.ready.pop()
-	if next == nil {
-		if wait || e.live > 0 {
-			//lint:ignore hotalloc fatal path: the concat only runs when panicking
-			panic("sim: deadlock\n" + e.dump())
-		}
-		// Exiting last thread with nothing runnable and live==0 was
-		// handled in exit(); reaching here is a bug.
-		panic("sim: scheduler underflow")
-	}
-	if next == t {
-		// Fast path: we are still the minimum-clock thread.
-		if t.clock < t.wakeAt {
-			t.clock = t.wakeAt
-		}
-		t.state = stateRunning
+// dispatchFrom runs after t has queued itself: if t is still the
+// minimum-clock thread it keeps running without a switch, otherwise it
+// parks until the driver dispatches it again.
+func (e *Engine) dispatchFrom(t *Thread) {
+	if e.ready.ts[0] != t {
+		t.park()
 		return
 	}
-	next.state = stateRunning
-	if next.clock < next.wakeAt {
-		next.clock = next.wakeAt
-	}
-	next.resumeOrStart()
-	if !wait {
-		return
-	}
-	<-t.resume
-	if e.stopping {
-		panic(stopToken{})
-	}
+	e.ready.pop()
 	t.state = stateRunning
 	if t.clock < t.wakeAt {
 		t.clock = t.wakeAt
 	}
 }
 
-// resumeOrStart resumes a parked thread, starting its goroutine lazily the
-// first time it is dispatched.
-func (t *Thread) resumeOrStart() {
-	if t.state == stateExited {
-		panic("sim: resuming exited thread")
+// park switches back to the driver until t is dispatched again; the
+// driver has set t running and clamped its clock by then. A failed
+// switch means the engine is shutting down: unwind.
+func (t *Thread) park() {
+	if !t.yield(struct{}{}) {
+		panic(stopToken{})
 	}
-	if !t.started {
-		t.started = true
-		// The scheduler's own token handoff: exactly one goroutine runs at
-		// a time, so this spawn cannot race.
-		//lint:ignore determinism token-handoff scheduler owns this spawn
-		go t.main()
-	}
-	t.resume <- struct{}{}
 }
 
 // dump formats the scheduler state for deadlock diagnostics: per thread,

@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"daxvm/internal/obs"
 )
@@ -384,12 +389,21 @@ func TestGoFromRunningThread(t *testing.T) {
 	}
 }
 
-// BenchmarkDispatch times the engine's token handoff: two threads at the
-// same clock ping-pong on Yield, so every Yield parks its goroutine and
-// resumes the other's. One op is one Yield by each thread — two handoffs.
-func BenchmarkDispatch(b *testing.B) {
+// BenchmarkDispatch times the engine's dispatch: two threads at the same
+// clock ping-pong on Yield, so every Yield switches back to the driver,
+// which resumes the other thread's coroutine. One op is one Yield by each
+// thread — two dispatches, four coroutine switches.
+func BenchmarkDispatch(b *testing.B) { benchDispatch(b, 2) }
+
+// BenchmarkDispatch16 is BenchmarkDispatch with 16 threads on 16 cores
+// taking turns, the shape of a 16-thread server workload: each Yield
+// queues behind the other 15. One op is one Yield by each thread — 16
+// dispatches.
+func BenchmarkDispatch16(b *testing.B) { benchDispatch(b, 16) }
+
+func benchDispatch(b *testing.B, threads int) {
 	e := New()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < threads; i++ {
 		e.Go("ping", i, 0, func(t *Thread) {
 			for j := 0; j < b.N; j++ {
 				t.Yield()
@@ -399,6 +413,180 @@ func BenchmarkDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// TestSwitchesExcludeFastPath pins Switches: a Yield by the
+// minimum-clock thread continues without a switch, and every other
+// dispatch resumes a different thread.
+func TestSwitchesExcludeFastPath(t *testing.T) {
+	e := New()
+	e.Go("runner", 0, 0, func(th *Thread) {
+		for i := 0; i < 10; i++ {
+			th.Charge(10)
+			th.Yield() // still the minimum: the sleeper waits at 1000
+		}
+	})
+	e.Go("sleeper", 1, 1000, func(th *Thread) { th.Yield() })
+	e.Run()
+	if got := e.Switches(); got != 2 {
+		t.Fatalf("fast path: Switches = %d, want 2 (one dispatch per thread)", got)
+	}
+
+	e = New()
+	for i := 0; i < 2; i++ {
+		e.Go("ping", i, 0, func(th *Thread) {
+			for j := 0; j < 3; j++ {
+				th.Yield()
+			}
+		})
+	}
+	e.Run()
+	// Two first dispatches, then every Yield and the first exit switch.
+	if got := e.Switches(); got != 2+2*3 {
+		t.Fatalf("ping-pong: Switches = %d, want %d", got, 2+2*3)
+	}
+}
+
+// checkGoroutines fails when the goroutine count is above base: Run must
+// not return before every coroutine it started has ended.
+func checkGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%s: %d goroutines after Run, %d before", what, n, base)
+	}
+}
+
+// parkedDaemons registers daemons that park forever and log their
+// deferred calls, so a test can see them unwind.
+func parkedDaemons(e *Engine, log *[]string, names ...string) {
+	for i, name := range names {
+		e.GoDaemon(name, 10+i, 0, func(th *Thread) {
+			defer func() { *log = append(*log, name) }()
+			for {
+				th.Sleep(uint64(100 * (i + 1)))
+			}
+		})
+	}
+}
+
+// TestGoexitEndsRunCaller: runtime.Goexit inside a sim thread (what
+// t.Fatalf does) ends the goroutine that called Run, after every other
+// thread has unwound, and Run does not return.
+func TestGoexitEndsRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var log []string
+	var returned, resumed bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e := New()
+		parkedDaemons(e, &log, "d0", "d1")
+		e.Go("quitter", 0, 0, func(th *Thread) {
+			th.Sleep(250)
+			runtime.Goexit()
+			resumed = true
+		})
+		e.Run()
+		returned = true
+	}()
+	<-done
+	if returned || resumed {
+		t.Fatalf("Run returned = %v, thread resumed after Goexit = %v; want neither", returned, resumed)
+	}
+	if !reflect.DeepEqual(log, []string{"d0", "d1"}) {
+		t.Fatalf("daemons unwound %v, want [d0 d1]", log)
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond) // the Run caller's goroutine exits after close(done)
+	}
+	checkGoroutines(t, "Goexit", base)
+}
+
+// TestDaemonDeferredCallsRunOnce: at shutdown each parked daemon's
+// deferred calls run exactly once, in registration order (not clock
+// order), before Run returns. A daemon that already exited is not
+// unwound again, and one never dispatched has nothing to unwind.
+func TestDaemonDeferredCallsRunOnce(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New()
+	var log []string
+	parkedDaemons(e, &log, "d0")
+	e.GoDaemon("quit", 5, 0, func(th *Thread) {
+		defer func() { log = append(log, "quit") }()
+		th.Sleep(50)
+	})
+	parkedDaemons(e, &log, "d1")
+	e.GoDaemon("late", 6, 1<<40, func(th *Thread) {
+		defer func() { log = append(log, "late") }()
+	})
+	e.Go("main", 0, 0, func(th *Thread) { th.Sleep(1000) })
+	e.Run()
+	if want := []string{"quit", "d0", "d1"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("deferred calls ran %v, want %v", log, want)
+	}
+	checkGoroutines(t, "normal run", base)
+}
+
+// TestPanicReachesRunCaller: a thread's panic value reaches Run's caller
+// unchanged, after the other threads have unwound.
+func TestPanicReachesRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	type boom struct{ at uint64 }
+	want := &boom{}
+	var log []string
+	func() {
+		defer func() {
+			if r := recover(); r != want {
+				t.Fatalf("Run panicked with %#v, want %#v", r, want)
+			}
+		}()
+		e := New()
+		parkedDaemons(e, &log, "d0")
+		e.Go("bystander", 1, 0, func(th *Thread) {
+			defer func() { log = append(log, "bystander") }()
+			th.Sleep(1 << 20)
+		})
+		e.Go("thrower", 0, 0, func(th *Thread) {
+			th.Sleep(500)
+			want.at = th.Now()
+			panic(want)
+		})
+		e.Run()
+	}()
+	if want.at != 500 {
+		t.Fatalf("thrower panicked at %d, want 500", want.at)
+	}
+	if !reflect.DeepEqual(log, []string{"d0", "bystander"}) {
+		t.Fatalf("threads unwound %v, want [d0 bystander]", log)
+	}
+	checkGoroutines(t, "panicking run", base)
+}
+
+// TestDeadlockLeavesNoGoroutines: a deadlock panics out of Run with every
+// started thread unwound.
+func TestDeadlockLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var log []string
+	func() {
+		defer func() {
+			if r := recover(); !strings.HasPrefix(fmt.Sprint(r), "sim: deadlock") {
+				t.Fatalf("Run panicked with %v, want a deadlock", r)
+			}
+		}()
+		e := New()
+		ev := &Event{}
+		for _, name := range []string{"w0", "w1"} {
+			e.Go(name, 0, 0, func(th *Thread) {
+				defer func() { log = append(log, name) }()
+				ev.Wait(th, "never")
+			})
+		}
+		e.Run()
+	}()
+	if !reflect.DeepEqual(log, []string{"w0", "w1"}) {
+		t.Fatalf("threads unwound %v, want [w0 w1]", log)
+	}
+	checkGoroutines(t, "deadlocked run", base)
 }
 
 // TestSinkAndObserverAgree pins the engine's delivery contract for both

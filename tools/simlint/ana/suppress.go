@@ -8,7 +8,7 @@ import (
 
 // ignoreRe matches staticcheck-style suppression comments:
 //
-//	//lint:ignore determinism the engine's token handoff is deterministic
+//	//lint:ignore hotalloc fatal path: the concat only runs when panicking
 //	//lint:ignore attrbalance,lockdiscipline reason...
 //
 // The named analyzers are silenced on the comment's own line and on the

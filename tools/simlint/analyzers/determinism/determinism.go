@@ -3,6 +3,10 @@
 // and map iteration that charges cycles or emits trace events. The
 // simulator's perf gate compares artifacts byte-for-byte; any of these
 // constructs can silently perturb the numbers between runs.
+//
+// The raw-go ban has no sanctioned exception in the simulator: the engine
+// runs every simulated thread as an iter.Pull coroutine and spawns no
+// goroutine itself, so a go statement in internal/ is always a finding.
 package determinism
 
 import (

@@ -31,7 +31,7 @@ func rawGoroutine() {
 }
 
 func suppressedGoroutine() {
-	//lint:ignore determinism token handoff keeps this deterministic
+	//lint:ignore determinism fixture: a suppression silences the ban
 	go func() {}()
 }
 

@@ -8,10 +8,10 @@
 // walker, the TLB shootdown broadcast, the charge observer and the span
 // taps) plus any function whose doc comment contains a `hotalloc:root`
 // marker. Reachability follows static, interface and bound call edges;
-// signature-fallback edges are excluded, and the engine's scheduler
-// handoff internals (dispatchFrom, resumeOrStart) are a traversal
-// stop-list — the handoff is the determinism wall, and crossing it
-// would fuse every thread body into the hot path.
+// signature-fallback edges are excluded. The engine's dispatch needs no
+// special case: a thread switches to another only through its
+// coroutine's yield, a func value the call graph does not follow, so no
+// other thread body is reachable from a root.
 //
 // Allocation classes reported:
 //
@@ -73,14 +73,6 @@ var defaultRoots = []string{
 	"(*daxvm/internal/kernel.Kernel).gaugeJournalQueue",
 	"(daxvm/internal/kernel.nodeGauge).pmemBacklog",
 	"(daxvm/internal/kernel.nodeGauge).dramOccupancy",
-}
-
-// stopList cuts traversal at the engine's scheduler handoff: everything
-// beyond it runs on another simulated thread's stack, not on the
-// faulting path.
-var stopList = map[string]bool{
-	"(*daxvm/internal/sim.Engine).dispatchFrom":  true,
-	"(*daxvm/internal/sim.Thread).resumeOrStart": true,
 }
 
 const rootMarker = "hotalloc:root"
@@ -147,17 +139,13 @@ func collectRoots(g *ana.CallGraph) []string {
 	return sortedSet(set)
 }
 
-// bfs walks traversal edges from root, honoring the stop-list, and
-// returns node -> parent (root maps to "").
+// bfs walks traversal edges from root and returns node -> parent (root maps to "").
 func bfs(g *ana.CallGraph, root string) map[string]string {
 	parent := map[string]string{root: ""}
 	queue := []string{root}
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		if stopList[id] {
-			continue // the node itself is scanned; its callees are not
-		}
 		for _, e := range g.Out[id] {
 			if !e.Kind.Traversal() {
 				continue
